@@ -59,11 +59,8 @@ from .decoder import (
     DecoderConfig,
     Frontier,
     StreamDecoder,
-    SymbolProfile,
     decode_stream,
     find_certificate,
-    frontier_update,
-    profile,
     reconstruct,
     reconstruction_steps,
 )

@@ -9,8 +9,10 @@ set of distinct outputs (non-multiset model).
 from __future__ import annotations
 
 import enum
-import math
 from collections import Counter
+from functools import partial
+
+from .bounds import _v2
 from .patterns import (
     PatternSampler,
     apply_deletion,
@@ -99,18 +101,6 @@ class OutputCollection:
         return cls(obj["kind"], counts)
 
 
-def _deletion_pattern_count(n: int, t: int, mode: str) -> int:
-    if mode == "exactly":
-        return math.comb(n, t)
-    return sum(math.comb(n, i) for i in range(t + 1))
-
-
-def _insertion_pattern_count(n: int, q: int, t: int, mode: str) -> int:
-    if mode == "exactly":
-        return q**t * math.comb(n + t, t)
-    return insertion_ball_volume(q, n, t)
-
-
 def transmit_all(
     x: Word,
     t: int,
@@ -130,20 +120,20 @@ def transmit_all(
     if error_type == "deletion":
         if not 0 <= t <= n:
             raise ValueError(f"deletion budget t={t} infeasible for length {n}")
-        count = _deletion_pattern_count(n, t, mode)
-        if count > limit:
-            raise ValueError(f"{count} patterns exceed enumeration limit {limit}")
-        outputs = Counter(apply_deletion(x, d) for d in enumerate_deletion_vectors(n, t, mode))
+        volume = partial(_v2, n)
+        outputs = (apply_deletion(x, d) for d in enumerate_deletion_vectors(n, t, mode))
     elif error_type == "insertion":
         if t < 0:
             raise ValueError("insertion budget must be non-negative")
-        count = _insertion_pattern_count(n, x.q, t, mode)
-        if count > limit:
-            raise ValueError(f"{count} patterns exceed enumeration limit {limit}")
-        outputs = Counter(apply_insertion(x, v) for v in enumerate_insertion_vectors(n, x.q, t, mode))
+        volume = partial(insertion_ball_volume, x.q, n)
+        outputs = (apply_insertion(x, v) for v in enumerate_insertion_vectors(n, x.q, t, mode))
     else:
         raise ValueError(f"unknown error type {error_type!r}")
-    return OutputCollection(model.collection_kind, dict(outputs), distinct_patterns=count)
+    # Patterns of size exactly t are the ball of radius t minus that of t - 1.
+    count = volume(t) - (volume(t - 1) if mode == "exactly" and t else 0)
+    if count > limit:
+        raise ValueError(f"{count} patterns exceed enumeration limit {limit}")
+    return OutputCollection(model.collection_kind, dict(Counter(outputs)), distinct_patterns=count)
 
 
 def transmit_random(
@@ -192,4 +182,4 @@ def transmit_random(
 
 
 def _materialize_output(x: Word, sampler: PatternSampler, draw) -> Word:
-    return Word(sampler.apply_draw(draw, x.symbols), x.q)
+    return Word.from_raw(sampler.apply_draw(draw, x.raw), x.q)

@@ -198,7 +198,7 @@ def _cmd_decode(args) -> tuple[dict, str]:
         result = dec.push(Word.parse(line, args.q))
         if result is not None:
             break
-    decoded = "" if result is None else (result if isinstance(result, str) else Word(result, args.q).text)
+    decoded = "" if result is None else Word.from_raw(result, args.q).text
     record = {"result": decoded, "reads_consumed": dec.reads}
     if dec.certificate is not None and decoded:
         record["certificate"] = {

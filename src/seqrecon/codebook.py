@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .words import Word
+from .words import Word, alphabet, symbol_counts
 
 # e = sum 1/k!; 45 terms give ~56 correct decimal digits, far beyond what any
 # ceiling near an integer boundary can distinguish for n up to 10^6.
@@ -55,15 +55,12 @@ def is_codeword(w: Word, params: CodeParams) -> bool:
     """Membership test: top-two symbol counts must sum below the threshold."""
     if w.q != params.q or len(w) != params.n:
         raise ValueError(f"word has (q={w.q}, n={len(w)}), code expects (q={params.q}, n={params.n})")
-    counts = sorted(_symbol_counts(w.symbols, params.q), reverse=True)
-    return counts[0] + counts[1] < top_two_threshold(params)
+    return _top_two(symbol_counts(w.raw, alphabet(params.q))) < top_two_threshold(params)
 
 
-def _symbol_counts(symbols, q: int) -> list[int]:
-    counts = [0] * q
-    for s in symbols:
-        counts[s] += 1
-    return counts
+def _top_two(counts: tuple[int, ...]) -> int:
+    first, second = sorted(counts, reverse=True)[:2]
+    return first + second
 
 
 def excluded_count(params: CodeParams) -> int:
@@ -93,12 +90,20 @@ def third_symbol_floor(params: CodeParams) -> int:
     return math.ceil(Fraction(params.n) / ((params.q - 2) * p))
 
 
+def sample_raw_codeword(symbols: str, n: int, tau: int, rng: random.Random) -> str:
+    """Uniform codeword in raw form via rejection sampling on membership.
+
+    symbols is alphabet(q) and tau the code's top_two_threshold.  Each attempt
+    is one rng.choices(symbols, k=n) call.
+    """
+    while True:
+        x = "".join(rng.choices(symbols, k=n))
+        if _top_two(symbol_counts(x, symbols)) < tau:
+            return x
+
+
 def sample_codeword(params: CodeParams, rng: random.Random) -> Word:
     """Uniform codeword via rejection sampling on membership."""
-    q, n = params.q, params.n
-    tau = top_two_threshold(params)
-    while True:
-        symbols = [rng.randrange(q) for _ in range(n)]
-        counts = sorted(_symbol_counts(symbols, q), reverse=True)
-        if counts[0] + counts[1] < tau:
-            return Word(symbols, q)
+    symbols = alphabet(params.q)
+    x = sample_raw_codeword(symbols, params.n, top_two_threshold(params), rng)
+    return Word.from_raw(x, params.q)

@@ -9,18 +9,19 @@ the transmitted word is rebuilt exactly; with unbounded input this happens
 with probability approaching one, and a nonempty result is always correct.
 Requires q >= 4: with fewer symbols the positions of the untouched symbols
 cannot be recovered.
+
+Outputs are held in the raw form of seqrecon.words, one character per symbol,
+for every q.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .words import Word
-
-_DIGITS = "0123456789"
+from .words import Word, alphabet, as_raw, symbol_counts
 
 # Measured median reads-to-halt at q=4 for common parameter points, used to
 # size the default read cap; keys are (n, t_sub, t_del, t_ins).
@@ -78,30 +79,34 @@ def default_max_reads(cfg: DecoderConfig) -> int:
     return 1_000_000
 
 
-@dataclass(frozen=True)
-class SymbolProfile:
-    """Per-symbol occurrence counts of one output word."""
+@functools.lru_cache(maxsize=None)
+def _slot_layout(q: int) -> tuple:
+    """Slot keys and indices for alphabet q, shared read-only by every Frontier.
 
-    counts: tuple[int, ...]
-    length: int
-
-    def count(self, a: int) -> int:
-        return self.counts[a]
-
-    def count_outside(self, a: int, b: int, c: int) -> int:
-        """Occurrences of symbols not in {a, b, c}."""
-        return self.length - self.counts[a] - self.counts[b] - self.counts[c]
-
-
-def profile(y: Word, q: int | None = None) -> SymbolProfile:
-    """Count every symbol of y; O(|y| + q)."""
-    q = q if q is not None else y.q
-    counts = [0] * q
-    for s in y.symbols:
-        if s >= q:
-            raise ValueError(f"symbol {s} outside alphabet [0, {q - 1}]")
-        counts[s] += 1
-    return SymbolProfile(tuple(counts), len(y))
+    The last entry lists, per anchor triple (s1, s2, s3) in lexicographic
+    order, the indices of the six slots its certificate draws on.
+    """
+    pair_keys = tuple((a, b) for a in range(q) for b in range(q) if a != b)
+    tri_keys = tuple(
+        (a, b, c)
+        for a in range(q)
+        for b, c in itertools.combinations((s for s in range(q) if s != a), 2)
+    )
+    pair_index = {key: k for k, key in enumerate(pair_keys)}
+    tri_index = {key: k for k, key in enumerate(tri_keys)}
+    anchor_slots = tuple(
+        (
+            s1, s2, s3,
+            pair_index[(s3, s1)],
+            pair_index[(s1, s2)],
+            pair_index[(s2, s3)],
+            tri_index[(s1,) + tuple(sorted((s2, s3)))],
+            tri_index[(s2,) + tuple(sorted((s1, s3)))],
+            tri_index[(s3,) + tuple(sorted((s1, s2)))],
+        )
+        for s1, s2, s3 in itertools.permutations(range(q), 3)
+    )
+    return pair_keys, tri_keys, pair_index, tri_index, anchor_slots
 
 
 class Frontier:
@@ -112,7 +117,11 @@ class Frontier:
     uses M_a and the count outside {a, b, c}.  Ties displace.  The (a, b, c)
     rule is symmetric in b, c so those slots are stored once per unordered
     {b, c} and looked up under any order.  Every slot keeps the stored word's
-    full profile so certificate checks need no recount.
+    symbol counts so certificate checks need no recount.
+
+    A slot only ever moves to lower M_a and higher M_b (or outside count), so
+    the counts that can displace it only shrink: counts that displaced no
+    slot once never will, and are remembered so their repeats skip the scan.
     """
 
     __slots__ = (
@@ -131,6 +140,8 @@ class Frontier:
         "_tri_len",
         "_tri_ma",
         "_tri_out",
+        "_inert",
+        "anchor_slots",
         "initialized",
     )
 
@@ -138,14 +149,13 @@ class Frontier:
         if q < 4:
             raise ValueError(f"requires q >= 4, got q={q}")
         self.q = q
-        self.pair_keys = [(a, b) for a in range(q) for b in range(q) if a != b]
-        self.tri_keys = [
-            (a, b, c)
-            for a in range(q)
-            for b, c in itertools.combinations((s for s in range(q) if s != a), 2)
-        ]
-        self._pair_index = {key: k for k, key in enumerate(self.pair_keys)}
-        self._tri_index = {key: k for k, key in enumerate(self.tri_keys)}
+        (
+            self.pair_keys,
+            self.tri_keys,
+            self._pair_index,
+            self._tri_index,
+            self.anchor_slots,
+        ) = _slot_layout(q)
         np, nt = len(self.pair_keys), len(self.tri_keys)
         self._pair_word = [None] * np
         self._pair_counts = [None] * np
@@ -157,11 +167,12 @@ class Frontier:
         self._tri_len = [0] * nt
         self._tri_ma = [0] * nt
         self._tri_out = [0] * nt
+        self._inert: set = set()  # counts tuples that displaced no slot
         self.initialized = False
 
     def update(self, word, counts: tuple[int, ...], length: int) -> bool:
         """Offer one output to every slot; returns True when any slot's stored
-        profile changed (word swaps with identical profiles do not count)."""
+        counts changed (a word swap with identical counts is no change)."""
         if not self.initialized:
             for k, (a, b) in enumerate(self.pair_keys):
                 self._pair_word[k] = word
@@ -177,11 +188,14 @@ class Frontier:
                 self._tri_out[k] = length - counts[a] - counts[b] - counts[c]
             self.initialized = True
             return True
-        changed = False
+        if counts in self._inert:
+            return False
+        changed = wrote = False
         pma, pmb = self._pair_ma, self._pair_mb
         pword, pcounts, plen = self._pair_word, self._pair_counts, self._pair_len
         for k, (a, b) in enumerate(self.pair_keys):
             if counts[a] <= pma[k] and counts[b] >= pmb[k]:
+                wrote = True
                 if pcounts[k] != counts or plen[k] != length:
                     changed = True
                 pword[k] = word
@@ -194,6 +208,7 @@ class Frontier:
         for k, (a, b, c) in enumerate(self.tri_keys):
             out = length - counts[a] - counts[b] - counts[c]
             if counts[a] <= tma[k] and out >= tout[k]:
+                wrote = True
                 if tcounts[k] != counts or tlen[k] != length:
                     changed = True
                 tword[k] = word
@@ -201,6 +216,8 @@ class Frontier:
                 tlen[k] = length
                 tma[k] = counts[a]
                 tout[k] = out
+        if not wrote:
+            self._inert.add(counts)
         return changed
 
     def get_pair(self, a: int, b: int):
@@ -214,14 +231,6 @@ class Frontier:
         return self._tri_word[k], self._tri_ma[k], self._tri_out[k]
 
 
-def frontier_update(frontier: Frontier, y: Word) -> Frontier:
-    """Offer output y to every frontier slot (profile computed here)."""
-    prof = profile(y, frontier.q)
-    raw = y.text if y.q <= 10 else y.symbols
-    frontier.update(raw, prof.counts, prof.length)
-    return frontier
-
-
 @dataclass(frozen=True)
 class Certificate:
     """Six stored outputs whose count swings pin down every error location.
@@ -232,32 +241,32 @@ class Certificate:
     """
 
     anchors: tuple[int, int, int]
-    words: tuple
+    words: tuple[str, ...]
 
     def word_texts(self, q: int) -> list[str]:
-        return [w if isinstance(w, str) else Word(w, q).text for w in self.words]
+        return [Word.from_raw(w, q).text for w in self.words]
 
     def verify(self, cfg: DecoderConfig) -> bool:
         """Recount the six words and re-check all seven equalities."""
         s1, s2, s3 = self.anchors
-        profs = []
-        for w in self.words:
-            seq = [int(c) for c in w] if isinstance(w, str) else w
-            profs.append(profile(Word(seq, cfg.q)))
-        p1, p2, p3, p4, p5, p6 = profs
+        symbols = alphabet(cfg.q)
+        counts = [symbol_counts(w, symbols) for w in self.words]
+        c1, c2, c3, c4, c5, c6 = counts
+        out1, _, _, out4, out5, out6 = (
+            len(w) - c[s1] - c[s2] - c[s3] for w, c in zip(self.words, counts)
+        )
         swing = cfg.count_swing
         grow = cfg.t_ins + cfg.t_sub
-        out1 = p1.count_outside(s1, s2, s3)
         return (
-            p1.count(s1) == p2.count(s1) + swing
-            and p2.count(s2) == p3.count(s2) + swing
-            and p3.count(s3) == p1.count(s3) + swing
-            and p2.count(s1) == p4.count(s1)
-            and p3.count(s2) == p5.count(s2)
-            and p1.count(s3) == p6.count(s3)
-            and p4.count_outside(s1, s2, s3) == out1 + grow
-            and p5.count_outside(s1, s2, s3) == out1 + grow
-            and p6.count_outside(s1, s2, s3) == out1 + grow
+            c1[s1] == c2[s1] + swing
+            and c2[s2] == c3[s2] + swing
+            and c3[s3] == c1[s3] + swing
+            and c2[s1] == c4[s1]
+            and c3[s2] == c5[s2]
+            and c1[s3] == c6[s3]
+            and out4 == out1 + grow
+            and out5 == out1 + grow
+            and out6 == out1 + grow
         )
 
 
@@ -268,23 +277,15 @@ def find_certificate(frontier: Frontier, cfg: DecoderConfig) -> Certificate | No
         return None
     swing = cfg.count_swing
     grow = cfg.t_ins + cfg.t_sub
-    pidx = frontier._pair_index
-    tidx = frontier._tri_index
     pc, pl = frontier._pair_counts, frontier._pair_len
     tc, tl = frontier._tri_counts, frontier._tri_len
-    for s1, s2, s3 in itertools.permutations(range(frontier.q), 3):
-        k1 = pidx[(s3, s1)]
-        k2 = pidx[(s1, s2)]
+    for s1, s2, s3, k1, k2, k3, k4, k5, k6 in frontier.anchor_slots:
         c1, c2 = pc[k1], pc[k2]
         if c1[s1] != c2[s1] + swing:
             continue
-        k3 = pidx[(s2, s3)]
         c3 = pc[k3]
         if c2[s2] != c3[s2] + swing or c3[s3] != c1[s3] + swing:
             continue
-        k4 = tidx[(s1,) + tuple(sorted((s2, s3)))]
-        k5 = tidx[(s2,) + tuple(sorted((s1, s3)))]
-        k6 = tidx[(s3,) + tuple(sorted((s1, s2)))]
         c4, c5, c6 = tc[k4], tc[k5], tc[k6]
         if c2[s1] != c4[s1] or c3[s2] != c5[s2] or c1[s3] != c6[s3]:
             continue
@@ -308,49 +309,40 @@ def find_certificate(frontier: Frontier, cfg: DecoderConfig) -> Certificate | No
     return None
 
 
-def _filter_symbols(word, keep) -> list:
-    if isinstance(word, str):
-        return [c for c in word if c in keep]
-    return [s for s in word if s in keep]
-
-
-def certificate_residues(cert: Certificate, cfg: DecoderConfig) -> list[list]:
+def certificate_residues(cert: Certificate, cfg: DecoderConfig) -> list[str]:
     """The six reduced words: y1..y3 with their two modified symbols removed,
     y4..y6 restricted to their two unmodified anchor symbols."""
     s1, s2, s3 = cert.anchors
-    text = isinstance(cert.words[0], str)
-    tok = (lambda s: _DIGITS[s]) if text else (lambda s: s)
-    y1, y2, y3, y4, y5, y6 = cert.words
-    alphabet = [tok(s) for s in range(cfg.q)]
-    not13 = {t for t in alphabet if t not in (tok(s1), tok(s3))}
-    not12 = {t for t in alphabet if t not in (tok(s1), tok(s2))}
-    not23 = {t for t in alphabet if t not in (tok(s2), tok(s3))}
-    return [
-        _filter_symbols(y1, not13),
-        _filter_symbols(y2, not12),
-        _filter_symbols(y3, not23),
-        _filter_symbols(y4, {tok(s2), tok(s3)}),
-        _filter_symbols(y5, {tok(s1), tok(s3)}),
-        _filter_symbols(y6, {tok(s1), tok(s2)}),
-    ]
+    codes = [ord(c) for c in alphabet(cfg.q)]
+
+    def drop(*symbols):
+        return dict.fromkeys([codes[s] for s in symbols])
+
+    def keep(a, b):
+        return drop(*(s for s in range(cfg.q) if s != a and s != b))
+
+    tables = (drop(s1, s3), drop(s1, s2), drop(s2, s3), keep(s2, s3), keep(s1, s3), keep(s1, s2))
+    return [y.translate(table) for y, table in zip(cert.words, tables)]
 
 
 def reconstruction_steps(cert: Certificate, cfg: DecoderConfig) -> Iterator[tuple]:
-    """Merge rounds of the six reduced words.
+    """Merge rounds of the six reduced words of certificate_residues().
 
     Each round finds the unique symbol heading exactly three of the reduced
-    words, emits it, and pops those three heads; yields (symbol, remaining)
-    after every round.  Stops silently when no unique such symbol exists or
-    too many symbols were emitted; reconstruct() turns that into the empty
+    words, emits it, and pops those three heads; yields (symbol, offsets)
+    after every round, where offsets[i] is how much of reduced word i has
+    been consumed.  Stops silently when no unique such symbol exists or too
+    many symbols were emitted; reconstruct() turns that into the empty
     result.
     """
     zs = certificate_residues(cert, cfg)
+    lens = [len(z) for z in zs]
     ptr = [0] * 6
     emitted = 0
-    while any(p < len(z) for p, z in zip(ptr, zs)):
+    while ptr != lens:
         heads: dict = {}
         for i in range(6):
-            if ptr[i] < len(zs[i]):
+            if ptr[i] < lens[i]:
                 heads.setdefault(zs[i][ptr[i]], []).append(i)
         triples = [(sym, idxs) for sym, idxs in heads.items() if len(idxs) == 3]
         if len(triples) != 1 or emitted >= cfg.n:
@@ -359,33 +351,31 @@ def reconstruction_steps(cert: Certificate, cfg: DecoderConfig) -> Iterator[tupl
         for i in idxs:
             ptr[i] += 1
         emitted += 1
-        yield sym, tuple(tuple(z[p:]) for p, z in zip(ptr, zs))
+        yield sym, tuple(ptr)
 
 
-def reconstruct(cert: Certificate, cfg: DecoderConfig):
-    """Rebuild the transmitted word from a certificate.
+def reconstruct(cert: Certificate, cfg: DecoderConfig) -> str:
+    """Rebuild the transmitted word, in raw form, from a certificate.
 
-    Returns the word as a raw sequence matching the pushed outputs' type;
-    returns the empty sequence when the merge invariant is violated (which a
-    certificate from honest channel outputs never does).
+    Returns "" when the merge invariant is violated (which a certificate from
+    honest channel outputs never does).
     """
-    text = isinstance(cert.words[0], str)
+    lens = tuple(len(z) for z in certificate_residues(cert, cfg))
     out = []
-    remaining = None
-    for sym, remaining in reconstruction_steps(cert, cfg):
+    offsets = None
+    for sym, offsets in reconstruction_steps(cert, cfg):
         out.append(sym)
-    drained = remaining is not None and all(len(z) == 0 for z in remaining)
-    if len(out) != cfg.n or not drained:
-        return "" if text else ()
-    return "".join(out) if text else tuple(out)
+    if len(out) != cfg.n or offsets != lens:
+        return ""
+    return "".join(out)
 
 
 class StreamDecoder:
-    """Online decoding engine over raw outputs (digit strings for q <= 10,
-    symbol tuples otherwise).
+    """Online decoding engine over raw outputs (see the module docstring).
 
-    push() returns None while undecided, the decoded word once certified, or
-    the empty sequence if a certificate failed its merge (a Las Vegas "give
+    push() takes an output as a raw str, a Word or a sequence of symbol ints.
+    It returns None while undecided, the decoded word in raw form once
+    certified, or "" if a certificate failed its merge (a Las Vegas "give
     up", never a wrong answer).  Certificates are only accepted once six
     outputs have been read.  With all budgets zero the first output is the
     answer and is returned immediately.
@@ -397,7 +387,7 @@ class StreamDecoder:
         self.reads = 0
         self.certificate: Certificate | None = None
         self.result = None
-        self._tokens = tuple(_DIGITS[: cfg.q]) if cfg.q <= 10 else tuple(range(cfg.q))
+        self._alphabet = alphabet(cfg.q)
         self._pending = False
 
     @property
@@ -408,17 +398,10 @@ class StreamDecoder:
             return self.reads
         return self.reads - 1
 
-    def _normalize(self, y):
-        if isinstance(y, str):
-            return y
-        if isinstance(y, Word):
-            return y.text if y.q <= 10 else y.symbols
-        return tuple(y)
-
-    def push(self, y):
+    def push(self, y) -> str | None:
         if self.result is not None:
             raise RuntimeError("decoder already finished")
-        raw = self._normalize(y)
+        raw = as_raw(y)
         cfg = self.cfg
         self.reads += 1
         length = len(raw)
@@ -426,13 +409,10 @@ class StreamDecoder:
             raise ValueError(
                 f"output length {length} outside [{cfg.n - cfg.t_del}, {cfg.n + cfg.t_ins}]"
             )
+        counts = symbol_counts(raw, self._alphabet)
         if cfg.count_swing == 0:
             self.result = raw
             return raw
-        cnt = Counter(raw)
-        counts = tuple(cnt.get(tok, 0) for tok in self._tokens)
-        if sum(counts) != length:
-            raise ValueError(f"output contains symbols outside the q={cfg.q} alphabet")
         if self.frontier.update(raw, counts, length):
             self._pending = True
         if self._pending and self.reads >= 6:
@@ -446,7 +426,7 @@ class StreamDecoder:
 
 
 def decode_stream(outputs: Iterable, cfg: DecoderConfig) -> Word:
-    """Decode a stream of channel outputs (Words or raw sequences).
+    """Decode a stream of channel outputs (anything StreamDecoder.push takes).
 
     Reads words one by one until a certificate fires, the stream ends, or the
     read cap is hit; returns the transmitted word on success and the empty
@@ -459,7 +439,5 @@ def decode_stream(outputs: Iterable, cfg: DecoderConfig) -> Word:
             break
         out = dec.push(y)
         if out is not None:
-            if isinstance(out, str):
-                return Word.parse(out, cfg.q)
-            return Word(out, cfg.q)
+            return Word.from_raw(out, cfg.q)
     return Word((), cfg.q)

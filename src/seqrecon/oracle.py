@@ -10,9 +10,8 @@ can produce identical output collections under each channel model:
                  whose output sets coincide; for a candidate common-output
                  subset Y this is feasible iff |Y| <= N <= min of the two
                  total multiplicities into Y, so the full common-output set
-                 realises the maximum whenever its min-sum covers |Y| (always
-                 true, since every common output has multiplicity >= 1 on
-                 both sides; the subset fallback below is defensive).
+                 realises the maximum: its min-sum always covers |Y|, since
+                 every common output has multiplicity >= 1 on both sides.
 """
 
 from __future__ import annotations
@@ -26,6 +25,8 @@ from operator import itemgetter
 from .channels import ChannelModel, OutputCollection
 from .patterns import (
     ErrorPattern,
+    apply_deletion,
+    apply_insertion,
     check_mode,
     enumerate_deletion_vectors,
     enumerate_insertion_vectors,
@@ -61,17 +62,12 @@ def _pattern_outputs(x: Word, t: int, mode: str, error_type: str):
         if not 0 <= t <= len(x):
             raise ValueError(f"deletion budget t={t} infeasible for length {len(x)}")
         for d in enumerate_deletion_vectors(len(x), t, mode):
-            y = Word(tuple(s for s, bit in zip(x.symbols, d.mask) if not bit), x.q)
-            by_output.setdefault(y, []).append(d)
+            by_output.setdefault(apply_deletion(x, d), []).append(d)
     elif error_type == "insertion":
         if t < 0:
             raise ValueError("insertion budget must be non-negative")
         for v in enumerate_insertion_vectors(len(x), x.q, t, mode):
-            out: list[int] = list(v.parts[0])
-            for s, part in zip(x.symbols, v.parts[1:]):
-                out.append(s)
-                out.extend(part)
-            by_output.setdefault(Word(out, x.q), []).append(v)
+            by_output.setdefault(apply_insertion(x, v), []).append(v)
     else:
         raise ValueError(f"unknown error type {error_type!r}")
     return by_output
@@ -83,24 +79,9 @@ def _as_patterns(raw_list, error_type: str) -> list[ErrorPattern]:
     return [ErrorPattern.of_insertion(v) for v in raw_list]
 
 
-def _nonmultiset_nmax(common: list[Word], mult_x: dict, mult_xp: dict) -> tuple[int, list[Word]]:
-    """Maximum feasible N and the realising output subset."""
-    if not common:
-        return 0, []
-    sum_x = sum(mult_x[y] for y in common)
-    sum_xp = sum(mult_xp[y] for y in common)
-    best = min(sum_x, sum_xp)
-    if best >= len(common):
-        return best, common
-    # Defensive only: unreachable for the full set since every common output
-    # has multiplicity >= 1 on both sides.
-    best, best_subset = 0, []
-    for r in range(1, len(common) + 1):
-        for subset in itertools.combinations(common, r):
-            n = min(sum(mult_x[y] for y in subset), sum(mult_xp[y] for y in subset))
-            if n >= r and n > best:
-                best, best_subset = n, list(subset)
-    return best, best_subset
+def _nonmultiset_nmax(common: list[Word], mult_x: dict, mult_xp: dict) -> int:
+    """Maximum feasible N, realised by the whole common-output set."""
+    return min(sum(mult_x[y] for y in common), sum(mult_xp[y] for y in common))
 
 
 def confusable_max(
@@ -140,11 +121,11 @@ def confusable_max(
                 counts[y] = take
             witness = _make_witness(px, pxp, error_type, model, counts)
     elif model is ChannelModel.NON_MULTISET:
-        n_max, subset = _nonmultiset_nmax(common, mult_x, mult_xp)
+        n_max = _nonmultiset_nmax(common, mult_x, mult_xp)
         if want_witness and n_max:
-            px = _cover_with(out_x, subset, n_max)
-            pxp = _cover_with(out_xp, subset, n_max)
-            witness = _make_witness(px, pxp, error_type, model, {y: 1 for y in subset})
+            px = _cover_with(out_x, common, n_max)
+            pxp = _cover_with(out_xp, common, n_max)
+            witness = _make_witness(px, pxp, error_type, model, {y: 1 for y in common})
     else:
         raise ValueError(f"unknown model {model}")
     return ConfusabilityReport(
@@ -227,25 +208,21 @@ def _scan_pairs(args):
                     never.append((i, j))
                     continue
             elif model is ChannelModel.NON_MULTISET:
-                si = sj = ncommon = 0
+                si = sj = 0
                 for y, c in oi.items():
                     cj = oj.get(y)
                     if cj:
-                        ncommon += 1
                         si += c
                         sj += cj
                 val = si if si < sj else sj
-                if val < ncommon:  # defensive; cannot happen with >=1 multiplicities
-                    val, _ = _nonmultiset_nmax(
-                        [y for y in oi if y in oj],
-                        dict(oi),
-                        dict(oj),
-                    )
                 if si == totals[i] and sj == totals[j]:
                     never.append((i, j))
                     continue
             else:
                 val = sum(1 for y in oi if y in oj)
+                if val == len(oi) and val == len(oj):
+                    never.append((i, j))
+                    continue
             if val > best:
                 best = val
                 best_pairs = [(i, j)]

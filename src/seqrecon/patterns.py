@@ -13,10 +13,11 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .words import Word
+from .words import Word, alphabet
 
 Mode = str  # "exactly" | "at_most"
 
@@ -285,6 +286,7 @@ class PatternSampler:
         self.t_sub = t_sub
         self.t_del = t_del
         self.t_ins = t_ins
+        self._alphabet = alphabet(q)
 
         self._ins_cum: list[tuple[int, int]] = []  # (cumulative weight, total length)
         acc = 0
@@ -356,43 +358,30 @@ class PatternSampler:
             SubstitutionPattern(tuple(entries)),
         )
 
-    def sample_output(self, rng: random.Random, x_seq: Sequence) -> "str | tuple":
+    def sample_output(self, rng: random.Random, x_raw: str) -> str:
         """Draw a pattern and apply it to x in one go (hot path for simulation).
 
-        x_seq is the raw symbol sequence: a digit string for q <= 10 or a
-        tuple of ints.  The output has the same type.
+        x_raw and the output are in the raw form of seqrecon.words.
         """
-        return self.apply_draw(self.draw(rng), x_seq)
+        return self.apply_draw(self.draw(rng), x_raw)
 
-    def apply_draw(self, draw, x_seq: Sequence) -> "str | tuple":
-        """Apply a raw draw to the symbol sequence of the transmitted word."""
+    def apply_draw(self, draw, x_raw: str) -> str:
+        """Apply a raw draw to the transmitted word in raw form; O(n + t)."""
         gaps, ins_symbols, del_pos, sub_pos, sub_off = draw
-        is_text = isinstance(x_seq, str)
-        out = list(x_seq)
+        symbols = self._alphabet
+        out = list(x_raw)
         for p, off in zip(sub_pos, sub_off):
-            orig = int(out[p]) if is_text else out[p]
-            new = off + (1 if off >= orig else 0)
-            out[p] = str(new) if is_text else new
+            # The replacement skips the original symbol: off, or off + 1 from it on.
+            new = symbols[off]
+            out[p] = new if new < out[p] else symbols[off + 1]
         for p in reversed(del_pos):
             del out[p]
-        if gaps:
-            # Deleting first keeps indices stable only because insertion gaps
-            # are re-anchored below: gap g means after original symbol g.
-            shift = [0] * (self.n + 1)
-            for p in del_pos:
-                shift[p + 1] += 1
-            acc = 0
-            anchors = []
-            for g in range(self.n + 1):
-                acc += shift[g]
-                anchors.append(g - acc)
-            if is_text:
-                for g, s in zip(reversed(gaps), reversed(ins_symbols)):
-                    out.insert(anchors[g], str(s))
-            else:
-                for g, s in zip(reversed(gaps), reversed(ins_symbols)):
-                    out.insert(anchors[g], s)
-        return "".join(out) if is_text else tuple(out)
+        # Gap g sits after original symbol g, so after the deletions it sits
+        # after g minus the deleted positions before it.  Inserting from the
+        # last gap backwards leaves the earlier anchors in place.
+        for g, s in zip(reversed(gaps), reversed(ins_symbols)):
+            out.insert(g - bisect_left(del_pos, g), symbols[s])
+        return "".join(out)
 
 
 def sample_pattern(

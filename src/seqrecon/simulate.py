@@ -18,9 +18,10 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
-from .codebook import DEFAULT_RARITY, CodeParams, top_two_threshold
+from .codebook import DEFAULT_RARITY, CodeParams, sample_raw_codeword, top_two_threshold
 from .decoder import DecoderConfig, StreamDecoder, default_max_reads
 from .patterns import PatternSampler
+from .words import alphabet
 
 DEFAULT_SEED = 1729
 
@@ -85,22 +86,13 @@ def _run_trials(args) -> tuple[Counter, int, int]:
     cfg = DecoderConfig(q=q, n=n, t_sub=t_sub, t_del=t_del, t_ins=t_ins)
     sampler = PatternSampler(n, q, t_sub, t_del, t_ins)
     tau = top_two_threshold(CodeParams(q=q, n=n))
-    text_mode = q <= 10
-    tokens = "0123456789"[:q] if text_mode else tuple(range(q))
+    symbols = alphabet(q)
     hist: Counter = Counter()
     failures = 0
     wrong = 0
     for trial in range(lo, hi):
         rng = random.Random(f"{seed}:{trial}")
-        while True:
-            if text_mode:
-                x = "".join(rng.choices(tokens, k=n))
-                counts = sorted((x.count(c) for c in tokens), reverse=True)
-            else:
-                x = tuple(rng.choices(tokens, k=n))
-                counts = sorted((x.count(s) for s in tokens), reverse=True)
-            if counts[0] + counts[1] < tau:
-                break
+        x = sample_raw_codeword(symbols, n, tau, rng)
         dec = StreamDecoder(cfg)
         result = None
         for _ in range(cap):

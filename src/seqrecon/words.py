@@ -3,12 +3,24 @@
 Symbols are integers in [0, q-1].  Coordinate positions are 1-based in every
 public function that talks about positions.  The alphabet is carried around as
 the plain integer q.
+
+Hot paths (sampling, channel outputs, decoding) hold a word in one raw form: a
+str in which symbol s is the character chr(48 + s).  For q <= 10 that is the
+digit string Word.text prints ("0123"); above that it runs on past "9"
+(":" is 10, ";" is 11) with no ceiling on q.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from typing import Iterable, Iterator
+
+_OFFSET = 48  # ord("0"): symbol s is the character chr(_OFFSET + s)
+
+
+def _to_raw(symbols: Iterable[int]) -> str:
+    return "".join([chr(_OFFSET + s) for s in symbols])
 
 
 class Word:
@@ -24,12 +36,13 @@ class Word:
     def __init__(self, symbols: Iterable[int], q: int):
         if q < 2:
             raise ValueError(f"alphabet size must be >= 2, got {q}")
-        if isinstance(symbols, str):
-            raise ValueError("symbols must be integers; use Word.parse for text")
         syms = tuple(symbols)
-        for s in syms:
-            if not 0 <= s < q:
-                raise ValueError(f"symbol {s} outside alphabet [0, {q - 1}]")
+        try:
+            bad = [s for s in syms if not 0 <= s < q]
+        except TypeError:
+            raise ValueError("symbols must be integers; use Word.parse for text") from None
+        if bad:
+            raise ValueError(f"symbol {bad[0]} outside alphabet [0, {q - 1}]")
         object.__setattr__(self, "symbols", syms)
         object.__setattr__(self, "q", q)
 
@@ -51,11 +64,20 @@ class Word:
             syms = tuple(int(part) for part in text.split(","))
         return cls(syms, q)
 
+    @classmethod
+    def from_raw(cls, raw: str, q: int) -> "Word":
+        """The word held in raw form (see the module docstring)."""
+        return cls([ord(c) - _OFFSET for c in raw], q)
+
+    @property
+    def raw(self) -> str:
+        return _to_raw(self.symbols)
+
     @property
     def text(self) -> str:
         if self.q <= 10:
-            return "".join(str(s) for s in self.symbols)
-        return ",".join(str(s) for s in self.symbols)
+            return self.raw
+        return ",".join(map(str, self.symbols))
 
     def __len__(self) -> int:
         return len(self.symbols)
@@ -78,6 +100,32 @@ class Word:
 
     def __repr__(self) -> str:
         return f"Word({self.text!r}, q={self.q})"
+
+
+def alphabet(q: int) -> str:
+    """The q symbols in raw form, in symbol order."""
+    return _to_raw(range(q))
+
+
+def as_raw(y) -> str:
+    """The raw form of a Word or of a sequence of symbol ints.  A str is taken
+    to be in raw form already and comes back unchanged."""
+    try:
+        return y + ""  # only a str concatenates with a str
+    except TypeError:
+        return _to_raw(y)
+
+
+def symbol_counts(raw: str, symbols: str) -> tuple[int, ...]:
+    """Occurrences of each symbol of the alphabet string `symbols` in raw.
+
+    Raises ValueError when raw holds a character outside the alphabet.
+    """
+    found = Counter(raw)
+    counts = tuple(map(found.__getitem__, symbols))
+    if sum(counts) != len(raw):
+        raise ValueError(f"output contains symbols outside the q={len(symbols)} alphabet")
+    return counts
 
 
 def support(w: Word) -> set[int]:

@@ -15,7 +15,14 @@ from fractions import Fraction
 
 from seqrecon import bounds
 from seqrecon.channels import ChannelModel, transmit_all, transmit_random
-from seqrecon.decoder import Certificate, DecoderConfig, StreamDecoder, decode_stream, reconstruction_steps
+from seqrecon.decoder import (
+    Certificate,
+    DecoderConfig,
+    StreamDecoder,
+    certificate_residues,
+    decode_stream,
+    reconstruction_steps,
+)
 from seqrecon.oracle import confusable_max, extremal_search
 from seqrecon.patterns import PatternSampler, apply_deletion, enumerate_deletion_vectors
 from seqrecon.simulate import SimSpec, run_sim
@@ -240,7 +247,7 @@ def test_criterion_08_decoder_never_wrong():
     fixture_ok = fixture.text == "1200321021"
     cert = Certificate((0, 1, 2), tuple(TABLE2_ROWS))
     steps = list(reconstruction_steps(cert, cfg))
-    mid = ["".join(z) for z in steps[4][1]]
+    mid = [z[p:] for z, p in zip(certificate_residues(cert, cfg), steps[4][1])]
     mid_ok = mid == ["11", "22", "0", "2121", "202", "101"]
 
     res = run_sim(

@@ -1,8 +1,11 @@
 import json
+import random
 
 import pytest
 
 from seqrecon.cli import main
+from seqrecon.patterns import PatternSampler, apply_pattern
+from seqrecon.words import Word
 
 FIX_ROWS = [
     "10003010210",
@@ -161,3 +164,49 @@ def test_env_overrides_seed(capsys, monkeypatch):
         "--ti", "1", "--samples", "5",
     )
     assert json.loads(out)["average"] != json.loads(out2)["average"] or out != out2
+
+
+DECODE_FIX = ("decode", "--q", "6", "--n", "10", "--ts", "1", "--td", "1", "--ti", "2")
+FIX_OUT = (
+    '{"certificate": {"anchors": [0, 1, 2], "words": ["10003010210", "12132110121", '
+    '"22003202212", "31203213241", "34203032021", "31003351021"]}, '
+    '"reads_consumed": 6, "result": "1200321021"}\n'
+)
+
+
+def decode_lines(capsys, tmp_path, lines, args=DECODE_FIX, newline="\n"):
+    path = tmp_path / "outputs.txt"
+    path.write_bytes((newline.join(lines) + newline).encode())
+    return run_cli(capsys, *args, "--file", str(path))
+
+
+def test_decode_stdout_on_malformed_lines(capsys, tmp_path):
+    code, out = decode_lines(capsys, tmp_path, [FIX_ROWS[0], "123", *FIX_ROWS[1:]])
+    assert (code, out) == (1, '{"error": "output length 3 outside [9, 12]", "hypothesis_ok": false}\n')
+    code, out = decode_lines(capsys, tmp_path, [FIX_ROWS[0], "1200321091", *FIX_ROWS[1:]])
+    assert (code, out) == (1, '{"error": "symbol 9 outside alphabet [0, 5]", "hypothesis_ok": false}\n')
+    code, out = decode_lines(capsys, tmp_path, [FIX_ROWS[0], "12003x1021", *FIX_ROWS[1:]])
+    assert (code, out) == (1, '{"error": "bad word text \'12003x1021\' for q=6", "hypothesis_ok": false}\n')
+
+
+def test_decode_stdout_with_crlf_line_endings(capsys, tmp_path):
+    assert decode_lines(capsys, tmp_path, FIX_ROWS, newline="\r\n") == (0, FIX_OUT)
+    assert decode_lines(capsys, tmp_path, FIX_ROWS) == (0, FIX_OUT)
+
+
+def test_decode_stdout_comma_form_above_ten_symbols(capsys, tmp_path):
+    rng = random.Random(5)
+    x = Word([rng.randrange(12) for _ in range(10)], 12)
+    sampler = PatternSampler(10, 12, 0, 1, 1)
+    lines = [apply_pattern(x, sampler.sample(rng, x)).text for _ in range(200)]
+    args = ("decode", "--q", "12", "--n", "10", "--ts", "0", "--td", "1", "--ti", "1")
+    code, out = decode_lines(capsys, tmp_path, lines, args)
+    assert code == 0
+    assert out == (
+        '{"certificate": {"anchors": [0, 9, 10], "words": ["9,4,11,5,0,11,11,8,0,7", '
+        '"9,4,9,11,5,11,11,10,8,7", "4,11,10,5,11,11,10,8,0,7", "9,4,11,5,11,11,10,3,8,7", '
+        '"4,11,5,11,11,11,10,8,0,7", "9,4,11,5,4,11,11,8,0,7"]}, "reads_consumed": 51, '
+        '"result": "9,4,11,5,11,11,10,8,0,7"}\n'
+    )
+    code, out = decode_lines(capsys, tmp_path, [lines[0], "1,2,12,3,4,5,6,7,8,9", *lines[1:]], args)
+    assert (code, out) == (1, '{"error": "symbol 12 outside alphabet [0, 11]", "hypothesis_ok": false}\n')

@@ -1,4 +1,5 @@
 import random
+import timeit
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,16 +10,15 @@ from seqrecon.decoder import (
     DecoderConfig,
     Frontier,
     StreamDecoder,
+    certificate_residues,
     decode_stream,
     default_max_reads,
     find_certificate,
-    frontier_update,
-    profile,
     reconstruct,
     reconstruction_steps,
 )
-from seqrecon.patterns import PatternSampler
-from seqrecon.words import Word
+from seqrecon.patterns import PatternSampler, apply_pattern
+from seqrecon.words import Word, alphabet, symbol_counts
 
 # Worked six-output fixture over q=6, n=10 with budgets (subs, dels, ins) = (1, 1, 2).
 FIX_X = "1200321021"
@@ -31,6 +31,10 @@ FIX_ROWS = [
     "31003351021",  # triple slot (2, {0, 1})
 ]
 FIX_CFG = DecoderConfig(q=6, n=10, t_sub=1, t_del=1, t_ins=2)
+
+
+def offer(frontier, raw):
+    frontier.update(raw, symbol_counts(raw, alphabet(frontier.q)), len(raw))
 
 
 def feed(rows, cfg):
@@ -52,22 +56,20 @@ def test_config_validation():
     assert cfg.count_swing == 8
 
 
-def test_profile_counts():
-    y1 = Word.parse(FIX_ROWS[0], 6)
-    y2 = Word.parse(FIX_ROWS[1], 6)
-    assert profile(y1).count(0) == 6
-    assert profile(y2).count(0) == 1
-    assert profile(y1).count(0) == profile(y2).count(0) + FIX_CFG.count_swing
-    zeros = profile(Word.parse("0" * 7, 4))
-    assert zeros.counts == (7, 0, 0, 0)
-    assert zeros.count_outside(0, 1, 2) == 0
+def test_symbol_counts():
+    y1 = symbol_counts(FIX_ROWS[0], alphabet(6))
+    y2 = symbol_counts(FIX_ROWS[1], alphabet(6))
+    assert y1[0] == 6
+    assert y2[0] == 1
+    assert y1[0] == y2[0] + FIX_CFG.count_swing
+    assert symbol_counts("0" * 7, alphabet(4)) == (7, 0, 0, 0)
     with pytest.raises(ValueError):
-        profile(Word.parse("015", 6), q=4)
+        symbol_counts("015", alphabet(4))
 
 
 def test_frontier_initialises_from_first_word():
     f = Frontier(4)
-    frontier_update(f, Word.parse("0123", 4))
+    offer(f, "0123")
     for a in range(4):
         for b in range(4):
             if a != b:
@@ -79,24 +81,44 @@ def test_frontier_initialises_from_first_word():
 
 def test_frontier_displacement_rules():
     f = Frontier(4)
-    frontier_update(f, Word.parse("0123", 4))
+    offer(f, "0123")
     # strictly better on both coordinates for slot (0, 1)
-    frontier_update(f, Word.parse("1123", 4))
+    offer(f, "1123")
     word, ma, mb = f.get_pair(0, 1)
     assert word == "1123" and ma == 0 and mb == 2
     # worse on the first coordinate leaves the slot alone
-    frontier_update(f, Word.parse("0023", 4))
+    offer(f, "0023")
     assert f.get_pair(0, 1)[0] == "1123"
     # equal counts displace (non-strict comparisons)
-    frontier_update(f, Word.parse("1213", 4))
+    offer(f, "1213")
     word, ma, mb = f.get_pair(0, 1)
     assert word == "1213" and ma == 0 and mb == 2
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2**30))
+def test_frontier_skips_only_counts_that_cannot_displace(seed):
+    # A frontier that forgets which counts displaced nothing must end every
+    # step in the same state as one that skips them.
+    rng = random.Random(seed)
+    sampler = PatternSampler(12, 4, 1, 1, 1)
+    x = "".join(rng.choices("0123", k=12))
+    remembering, forgetting = Frontier(4), Frontier(4)
+    for _ in range(300):
+        y = sampler.sample_output(rng, x)
+        counts = symbol_counts(y, "0123")
+        forgetting._inert.clear()
+        assert remembering.update(y, counts, len(y)) == forgetting.update(y, counts, len(y))
+        for a, b in remembering.pair_keys:
+            assert remembering.get_pair(a, b) == forgetting.get_pair(a, b)
+        for a, b, c in remembering.tri_keys:
+            assert remembering.get_triple(a, b, c) == forgetting.get_triple(a, b, c)
 
 
 def test_fixture_certificate_and_slot_assignment():
     f = Frontier(6)
     for row in FIX_ROWS:
-        frontier_update(f, Word.parse(row, 6))
+        offer(f, row)
     assert f.get_pair(2, 0)[0] == FIX_ROWS[0]
     assert f.get_pair(0, 1)[0] == FIX_ROWS[1]
     assert f.get_pair(1, 2)[0] == FIX_ROWS[2]
@@ -113,7 +135,7 @@ def test_fixture_certificate_and_slot_assignment():
 def test_no_certificate_from_identical_outputs():
     f = Frontier(6)
     for _ in range(8):
-        frontier_update(f, Word.parse(FIX_ROWS[0], 6))
+        offer(f, FIX_ROWS[0])
     assert find_certificate(f, FIX_CFG) is None
 
 
@@ -122,8 +144,8 @@ def test_reconstruct_fixture_with_midpoint_state():
     steps = list(reconstruction_steps(cert, FIX_CFG))
     symbols = "".join(sym for sym, _ in steps)
     assert symbols == FIX_X
-    after5 = steps[4][1]
-    assert ["".join(z) for z in after5] == ["11", "22", "0", "2121", "202", "101"]
+    after5 = [z[p:] for z, p in zip(certificate_residues(cert, FIX_CFG), steps[4][1])]
+    assert after5 == ["11", "22", "0", "2121", "202", "101"]
     assert reconstruct(cert, FIX_CFG) == FIX_X
 
 
@@ -215,13 +237,80 @@ def test_randomised_end_to_end_never_wrong():
 
 def test_tuple_path_for_large_alphabets():
     cfg = DecoderConfig(q=12, n=8, t_sub=0, t_del=0, t_ins=1)
-    x = tuple(range(8))
+    x = Word(range(8), 12)
     sampler = PatternSampler(8, 12, 0, 0, 1)
     rng = random.Random(3)
     dec = StreamDecoder(cfg)
     out = None
     for _ in range(5000):
-        out = dec.push(sampler.sample_output(rng, x))
+        out = dec.push(Word.from_raw(sampler.sample_output(rng, x.raw), 12).symbols)
         if out is not None:
             break
-    assert out == x
+    assert out == x.raw
+
+
+def test_decode_stream_accepts_int_tuples():
+    for q, n in ((4, 12), (12, 8)):
+        rng = random.Random(f"tuples:{q}")
+        x = Word([rng.randrange(q) for _ in range(n)], q)
+        sampler = PatternSampler(n, q, 0, 0, 1)
+        stream = [apply_pattern(x, sampler.sample(rng, x)).symbols for _ in range(5000)]
+        cfg = DecoderConfig(q=q, n=n, t_sub=0, t_del=0, t_ins=1)
+        assert decode_stream(stream, cfg) == x
+
+
+def test_zero_budget_push_rejects_symbols_outside_alphabet():
+    dec = StreamDecoder(DecoderConfig(q=4, n=4, t_sub=0, t_del=0, t_ins=0))
+    with pytest.raises(ValueError):
+        dec.push("0129")
+
+
+def _max_count_shift(y, x):
+    return max(abs(y.count(d) - x.count(d)) for d in "0123")
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(0, 2**30))
+def test_las_vegas_on_adversarial_orders(seed):
+    # Honest outputs in orders a uniform stream rarely produces: sorted, one
+    # output repeated many times first, and the outputs whose symbol counts
+    # move furthest (those that fill certificate slots) last.
+    rng = random.Random(seed)
+    n = 16
+    cfg = DecoderConfig(q=4, n=n, t_sub=1, t_del=1, t_ins=1)
+    sampler = PatternSampler(n, 4, 1, 1, 1)
+    x = sample_codeword(CodeParams(q=4, n=n), rng).text
+    outs = sorted({sampler.sample_output(rng, x) for _ in range(400)})
+    orders = [
+        outs,
+        [outs[rng.randrange(len(outs))]] * 200 + outs,
+        sorted(outs, key=lambda y: _max_count_shift(y, x)),
+    ]
+    for order in orders:
+        dec = StreamDecoder(cfg)
+        out = None
+        for y in order:
+            out = dec.push(y)
+            if out is not None:
+                break
+        assert out in (None, "", x)
+
+
+def test_reconstruct_time_linear_in_length():
+    def seconds_per_symbol(n):
+        cfg = DecoderConfig(q=4, n=n, t_sub=1, t_del=1, t_ins=1)
+        sampler = PatternSampler(n, 4, 1, 1, 1)
+        rng = random.Random(f"reconstruct:{n}")
+        x = sample_codeword(CodeParams(q=4, n=n), rng).text
+        dec = StreamDecoder(cfg)
+        for _ in range(20_000):
+            if dec.push(sampler.sample_output(rng, x)) is not None:
+                break
+        assert dec.result == x
+        cert = dec.certificate
+        best = min(timeit.repeat(lambda: reconstruct(cert, cfg), number=1, repeat=9))
+        return best / n
+
+    seconds_per_symbol(200)  # warm-up
+    ratio = seconds_per_symbol(2000) / seconds_per_symbol(200)
+    assert ratio <= 2.0, f"per-symbol reconstruct time ratio {ratio:.2f}"

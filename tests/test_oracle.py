@@ -1,3 +1,4 @@
+import itertools
 import random
 from collections import Counter
 
@@ -171,3 +172,22 @@ def test_parallel_scan_agrees_with_serial():
     assert {(a.text, b.text) for a, b in serial.pairs} == {
         (a.text, b.text) for a, b in parallel.pairs
     }
+
+
+def test_traditional_indistinguishable_pairs_are_reported_separately():
+    # At n=4, t=2 some words reach the same set of distinct outputs; the
+    # traditional model cannot tell them apart however many channels it reads.
+    res = extremal_search(4, 2, 2, "exactly", TR)
+    groups = [("0010", "0100"), ("0101", "0110", "1001", "1010"), ("1011", "1101")]
+    expected = {pair for g in groups for pair in itertools.combinations(g, 2)}
+    flagged = [(a.text, b.text) for a, b in res.indistinguishable]
+    assert len(flagged) == 8 and set(flagged) == expected
+
+    def outputs(w):
+        return {tuple(s for i, s in enumerate(w.symbols) if i not in cut)
+                for cut in itertools.combinations(range(4), 2)}
+
+    assert res.pairs
+    for a, b in res.pairs:
+        assert outputs(a) != outputs(b)
+        assert len(outputs(a) & outputs(b)) == res.n_max_confusable

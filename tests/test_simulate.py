@@ -91,3 +91,17 @@ def test_spec_validation():
         SimSpec(q=4, n=10, t_sub=0, t_del=0, t_ins=1, samples=0)
     with pytest.raises(ValueError):
         run_sim(SimSpec(q=3, n=10, t_sub=0, t_del=0, t_ins=1, samples=1))
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_fixed_seed_histograms_above_ten_symbols():
+    # Words over more than ten symbols print in comma form; the histograms
+    # must not depend on how symbols are held in memory.
+    indels = run_sim(SimSpec(q=12, n=12, t_sub=0, t_del=1, t_ins=1, samples=12, seed=31))
+    assert indels.histogram == {22: 1, 23: 1, 24: 1, 26: 3, 33: 2, 34: 1, 35: 2, 39: 1}
+    subs = run_sim(SimSpec(q=12, n=16, t_sub=1, t_del=0, t_ins=0, samples=12, seed=31))
+    assert subs.histogram == {
+        13: 1, 17: 1, 18: 1, 19: 1, 22: 1, 23: 3, 25: 1, 27: 1, 29: 1, 35: 1
+    }
+    assert indels.failures == subs.failures == 0
+    assert indels.wrong_decodes == subs.wrong_decodes == 0
