@@ -16,7 +16,6 @@ for every q.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator
@@ -79,36 +78,6 @@ def default_max_reads(cfg: DecoderConfig) -> int:
     return 1_000_000
 
 
-@functools.lru_cache(maxsize=None)
-def _slot_layout(q: int) -> tuple:
-    """Slot keys and indices for alphabet q, shared read-only by every Frontier.
-
-    The last entry lists, per anchor triple (s1, s2, s3) in lexicographic
-    order, the indices of the six slots its certificate draws on.
-    """
-    pair_keys = tuple((a, b) for a in range(q) for b in range(q) if a != b)
-    tri_keys = tuple(
-        (a, b, c)
-        for a in range(q)
-        for b, c in itertools.combinations((s for s in range(q) if s != a), 2)
-    )
-    pair_index = {key: k for k, key in enumerate(pair_keys)}
-    tri_index = {key: k for k, key in enumerate(tri_keys)}
-    anchor_slots = tuple(
-        (
-            s1, s2, s3,
-            pair_index[(s3, s1)],
-            pair_index[(s1, s2)],
-            pair_index[(s2, s3)],
-            tri_index[(s1,) + tuple(sorted((s2, s3)))],
-            tri_index[(s2,) + tuple(sorted((s1, s3)))],
-            tri_index[(s3,) + tuple(sorted((s1, s2)))],
-        )
-        for s1, s2, s3 in itertools.permutations(range(q), 3)
-    )
-    return pair_keys, tri_keys, pair_index, tri_index, anchor_slots
-
-
 class Frontier:
     """Best-so-far outputs per ordered symbol pair and per symbol triple.
 
@@ -118,10 +87,6 @@ class Frontier:
     rule is symmetric in b, c so those slots are stored once per unordered
     {b, c} and looked up under any order.  Every slot keeps the stored word's
     symbol counts so certificate checks need no recount.
-
-    A slot only ever moves to lower M_a and higher M_b (or outside count), so
-    the counts that can displace it only shrink: counts that displaced no
-    slot once never will, and are remembered so their repeats skip the scan.
     """
 
     __slots__ = (
@@ -140,8 +105,6 @@ class Frontier:
         "_tri_len",
         "_tri_ma",
         "_tri_out",
-        "_inert",
-        "anchor_slots",
         "initialized",
     )
 
@@ -149,13 +112,14 @@ class Frontier:
         if q < 4:
             raise ValueError(f"requires q >= 4, got q={q}")
         self.q = q
-        (
-            self.pair_keys,
-            self.tri_keys,
-            self._pair_index,
-            self._tri_index,
-            self.anchor_slots,
-        ) = _slot_layout(q)
+        self.pair_keys = [(a, b) for a in range(q) for b in range(q) if a != b]
+        self.tri_keys = [
+            (a, b, c)
+            for a in range(q)
+            for b, c in itertools.combinations((s for s in range(q) if s != a), 2)
+        ]
+        self._pair_index = {key: k for k, key in enumerate(self.pair_keys)}
+        self._tri_index = {key: k for k, key in enumerate(self.tri_keys)}
         np, nt = len(self.pair_keys), len(self.tri_keys)
         self._pair_word = [None] * np
         self._pair_counts = [None] * np
@@ -167,7 +131,6 @@ class Frontier:
         self._tri_len = [0] * nt
         self._tri_ma = [0] * nt
         self._tri_out = [0] * nt
-        self._inert: set = set()  # counts tuples that displaced no slot
         self.initialized = False
 
     def update(self, word, counts: tuple[int, ...], length: int) -> bool:
@@ -188,14 +151,11 @@ class Frontier:
                 self._tri_out[k] = length - counts[a] - counts[b] - counts[c]
             self.initialized = True
             return True
-        if counts in self._inert:
-            return False
-        changed = wrote = False
+        changed = False
         pma, pmb = self._pair_ma, self._pair_mb
         pword, pcounts, plen = self._pair_word, self._pair_counts, self._pair_len
         for k, (a, b) in enumerate(self.pair_keys):
             if counts[a] <= pma[k] and counts[b] >= pmb[k]:
-                wrote = True
                 if pcounts[k] != counts or plen[k] != length:
                     changed = True
                 pword[k] = word
@@ -208,7 +168,6 @@ class Frontier:
         for k, (a, b, c) in enumerate(self.tri_keys):
             out = length - counts[a] - counts[b] - counts[c]
             if counts[a] <= tma[k] and out >= tout[k]:
-                wrote = True
                 if tcounts[k] != counts or tlen[k] != length:
                     changed = True
                 tword[k] = word
@@ -216,8 +175,6 @@ class Frontier:
                 tlen[k] = length
                 tma[k] = counts[a]
                 tout[k] = out
-        if not wrote:
-            self._inert.add(counts)
         return changed
 
     def get_pair(self, a: int, b: int):
@@ -277,15 +234,23 @@ def find_certificate(frontier: Frontier, cfg: DecoderConfig) -> Certificate | No
         return None
     swing = cfg.count_swing
     grow = cfg.t_ins + cfg.t_sub
+    pidx = frontier._pair_index
+    tidx = frontier._tri_index
     pc, pl = frontier._pair_counts, frontier._pair_len
     tc, tl = frontier._tri_counts, frontier._tri_len
-    for s1, s2, s3, k1, k2, k3, k4, k5, k6 in frontier.anchor_slots:
+    for s1, s2, s3 in itertools.permutations(range(frontier.q), 3):
+        k1 = pidx[(s3, s1)]
+        k2 = pidx[(s1, s2)]
         c1, c2 = pc[k1], pc[k2]
         if c1[s1] != c2[s1] + swing:
             continue
+        k3 = pidx[(s2, s3)]
         c3 = pc[k3]
         if c2[s2] != c3[s2] + swing or c3[s3] != c1[s3] + swing:
             continue
+        k4 = tidx[(s1,) + tuple(sorted((s2, s3)))]
+        k5 = tidx[(s2,) + tuple(sorted((s1, s3)))]
+        k6 = tidx[(s3,) + tuple(sorted((s1, s2)))]
         c4, c5, c6 = tc[k4], tc[k5], tc[k6]
         if c2[s1] != c4[s1] or c3[s2] != c5[s2] or c1[s3] != c6[s3]:
             continue
@@ -325,27 +290,26 @@ def certificate_residues(cert: Certificate, cfg: DecoderConfig) -> list[str]:
     return [y.translate(table) for y, table in zip(cert.words, tables)]
 
 
-def reconstruction_steps(cert: Certificate, cfg: DecoderConfig) -> Iterator[tuple]:
-    """Merge rounds of the six reduced words of certificate_residues().
+def reconstruction_steps(residues: list[str], n: int) -> Iterator[tuple]:
+    """Merge rounds of the six reduced words from certificate_residues().
 
     Each round finds the unique symbol heading exactly three of the reduced
     words, emits it, and pops those three heads; yields (symbol, offsets)
     after every round, where offsets[i] is how much of reduced word i has
-    been consumed.  Stops silently when no unique such symbol exists or too
-    many symbols were emitted; reconstruct() turns that into the empty
+    been consumed.  Stops silently when no unique such symbol exists or more
+    than n symbols would be emitted; reconstruct() turns that into the empty
     result.
     """
-    zs = certificate_residues(cert, cfg)
-    lens = [len(z) for z in zs]
+    lens = [len(z) for z in residues]
     ptr = [0] * 6
     emitted = 0
     while ptr != lens:
         heads: dict = {}
         for i in range(6):
             if ptr[i] < lens[i]:
-                heads.setdefault(zs[i][ptr[i]], []).append(i)
+                heads.setdefault(residues[i][ptr[i]], []).append(i)
         triples = [(sym, idxs) for sym, idxs in heads.items() if len(idxs) == 3]
-        if len(triples) != 1 or emitted >= cfg.n:
+        if len(triples) != 1 or emitted >= n:
             return
         sym, idxs = triples[0]
         for i in idxs:
@@ -360,12 +324,12 @@ def reconstruct(cert: Certificate, cfg: DecoderConfig) -> str:
     Returns "" when the merge invariant is violated (which a certificate from
     honest channel outputs never does).
     """
-    lens = tuple(len(z) for z in certificate_residues(cert, cfg))
+    residues = certificate_residues(cert, cfg)
     out = []
     offsets = None
-    for sym, offsets in reconstruction_steps(cert, cfg):
+    for sym, offsets in reconstruction_steps(residues, cfg.n):
         out.append(sym)
-    if len(out) != cfg.n or offsets != lens:
+    if len(out) != cfg.n or offsets != tuple(map(len, residues)):
         return ""
     return "".join(out)
 

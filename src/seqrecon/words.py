@@ -36,13 +36,12 @@ class Word:
     def __init__(self, symbols: Iterable[int], q: int):
         if q < 2:
             raise ValueError(f"alphabet size must be >= 2, got {q}")
+        if isinstance(symbols, str):
+            raise ValueError("symbols must be integers; use Word.parse for text")
         syms = tuple(symbols)
-        try:
-            bad = [s for s in syms if not 0 <= s < q]
-        except TypeError:
-            raise ValueError("symbols must be integers; use Word.parse for text") from None
-        if bad:
-            raise ValueError(f"symbol {bad[0]} outside alphabet [0, {q - 1}]")
+        for s in syms:
+            if not 0 <= s < q:
+                raise ValueError(f"symbol {s} outside alphabet [0, {q - 1}]")
         object.__setattr__(self, "symbols", syms)
         object.__setattr__(self, "q", q)
 
@@ -110,10 +109,9 @@ def alphabet(q: int) -> str:
 def as_raw(y) -> str:
     """The raw form of a Word or of a sequence of symbol ints.  A str is taken
     to be in raw form already and comes back unchanged."""
-    try:
-        return y + ""  # only a str concatenates with a str
-    except TypeError:
-        return _to_raw(y)
+    if isinstance(y, str):
+        return y
+    return _to_raw(y)
 
 
 def symbol_counts(raw: str, symbols: str) -> tuple[int, ...]:

@@ -246,8 +246,9 @@ def test_criterion_08_decoder_never_wrong():
     fixture = decode_stream([W(r, 6) for r in TABLE2_ROWS], cfg)
     fixture_ok = fixture.text == "1200321021"
     cert = Certificate((0, 1, 2), tuple(TABLE2_ROWS))
-    steps = list(reconstruction_steps(cert, cfg))
-    mid = [z[p:] for z, p in zip(certificate_residues(cert, cfg), steps[4][1])]
+    residues = certificate_residues(cert, cfg)
+    steps = list(reconstruction_steps(residues, cfg.n))
+    mid = [z[p:] for z, p in zip(residues, steps[4][1])]
     mid_ok = mid == ["11", "22", "0", "2121", "202", "101"]
 
     res = run_sim(
