@@ -101,6 +101,12 @@ class OutputCollection:
         return cls(obj["kind"], counts)
 
 
+def pattern_count(volume, t: int, mode: str) -> int:
+    """Patterns of size exactly t, or at most t, where volume(r) counts those
+    of size at most r: the sphere of radius t is the ball minus that of t - 1."""
+    return volume(t) - (volume(t - 1) if mode == "exactly" and t else 0)
+
+
 def transmit_all(
     x: Word,
     t: int,
@@ -129,8 +135,7 @@ def transmit_all(
         outputs = (apply_insertion(x, v) for v in enumerate_insertion_vectors(n, x.q, t, mode))
     else:
         raise ValueError(f"unknown error type {error_type!r}")
-    # Patterns of size exactly t are the ball of radius t minus that of t - 1.
-    count = volume(t) - (volume(t - 1) if mode == "exactly" and t else 0)
+    count = pattern_count(volume, t, mode)
     if count > limit:
         raise ValueError(f"{count} patterns exceed enumeration limit {limit}")
     return OutputCollection(model.collection_kind, dict(Counter(outputs)), distinct_patterns=count)

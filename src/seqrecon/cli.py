@@ -22,9 +22,9 @@ from fractions import Fraction
 from . import bounds as _bounds
 from .channels import ChannelModel
 from .codebook import CodeParams, code_size_lower_bound, excluded_count, third_symbol_floor, top_two_threshold, is_codeword
-from .decoder import DecoderConfig, StreamDecoder, default_max_reads
+from .decoder import DecoderConfig, StreamDecoder
 from .oracle import confusable_max, extremal_search
-from .simulate import DEFAULT_SEED, SimSpec, run_sim, run_sweep
+from .simulate import DEFAULT_SEED, SimSpec, run_sweep
 from .words import Word
 
 
@@ -185,20 +185,11 @@ def _cmd_decode(args) -> tuple[dict, str]:
         q=args.q, n=args.n, t_sub=args.ts, t_del=args.td, t_ins=args.ti,
         max_reads=args.max_reads,
     )
-    cap = cfg.max_reads if cfg.max_reads is not None else default_max_reads(cfg)
     stream = args.file if args.file else sys.stdin
     dec = StreamDecoder(cfg)
-    result = None
-    for line in stream:
-        line = line.strip()
-        if not line:
-            continue
-        if dec.reads >= cap:
-            break
-        result = dec.push(Word.parse(line, args.q))
-        if result is not None:
-            break
-    decoded = "" if result is None else Word.from_raw(result, args.q).text
+    # Lazy, so no line past the read cap is parsed; blank lines are not reads.
+    result = dec.read(Word.parse(line, args.q) for line in stream if line.strip())
+    decoded = Word.from_raw(result, args.q).text if result else ""
     record = {"result": decoded, "reads_consumed": dec.reads}
     if dec.certificate is not None and decoded:
         record["certificate"] = {
@@ -213,17 +204,7 @@ def _cmd_simulate(args) -> tuple[dict, str]:
         q=args.q, n=args.n, t_sub=args.ts, t_del=args.td, t_ins=args.ti,
         samples=args.samples, seed=args.seed, jobs=args.jobs, max_reads=args.max_reads,
     )
-    if args.out:
-        rows = run_sweep([spec], args.out)
-        row = rows[0]
-    else:
-        res = run_sim(spec)
-        row = {
-            "n": spec.n, "ts": spec.t_sub, "td": spec.t_del, "ti": spec.t_ins,
-            "average": res.average, "median": res.median,
-            "failures": res.failures, "samples": spec.samples,
-        }
-    return dict(row), "average"
+    return run_sweep([spec], args.out)[0], "average"
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -11,7 +11,8 @@ Requires q >= 4: with fewer symbols the positions of the untouched symbols
 cannot be recovered.
 
 Outputs are held in the raw form of seqrecon.words, one character per symbol,
-for every q.
+for every q.  StreamDecoder.read is the one read loop: it stops at the first
+decision, at the end of the stream or at DecoderConfig.read_cap reads.
 """
 
 from __future__ import annotations
@@ -69,13 +70,14 @@ class DecoderConfig:
         word: t_del + t_ins + 2 t_sub."""
         return self.t_del + self.t_ins + 2 * self.t_sub
 
-
-def default_max_reads(cfg: DecoderConfig) -> int:
-    if cfg.q == 4:
-        median = _BASELINE_MEDIANS.get((cfg.n, cfg.t_sub, cfg.t_del, cfg.t_ins))
-        if median is not None:
-            return 50 * median
-    return 1_000_000
+    @property
+    def read_cap(self) -> int:
+        """Most outputs a decode reads: max_reads when set, else 50 times the
+        measured q=4 median for this point, else 1,000,000."""
+        if self.max_reads is not None:
+            return self.max_reads
+        median = _BASELINE_MEDIANS.get((self.n, self.t_sub, self.t_del, self.t_ins))
+        return 50 * median if self.q == 4 and median else 1_000_000
 
 
 class Frontier:
@@ -97,12 +99,10 @@ class Frontier:
         "_tri_index",
         "_pair_word",
         "_pair_counts",
-        "_pair_len",
         "_pair_ma",
         "_pair_mb",
         "_tri_word",
         "_tri_counts",
-        "_tri_len",
         "_tri_ma",
         "_tri_out",
         "initialized",
@@ -123,56 +123,52 @@ class Frontier:
         np, nt = len(self.pair_keys), len(self.tri_keys)
         self._pair_word = [None] * np
         self._pair_counts = [None] * np
-        self._pair_len = [0] * np
         self._pair_ma = [0] * np
         self._pair_mb = [0] * np
         self._tri_word = [None] * nt
         self._tri_counts = [None] * nt
-        self._tri_len = [0] * nt
         self._tri_ma = [0] * nt
         self._tri_out = [0] * nt
         self.initialized = False
 
-    def update(self, word, counts: tuple[int, ...], length: int) -> bool:
-        """Offer one output to every slot; returns True when any slot's stored
-        counts changed (a word swap with identical counts is no change)."""
+    def update(self, word: str, counts: tuple[int, ...]) -> bool:
+        """Offer one output, with its symbol counts, to every slot; returns
+        True when any slot's stored counts changed (a word swap with identical
+        counts is no change)."""
+        length = len(word)
         if not self.initialized:
             for k, (a, b) in enumerate(self.pair_keys):
                 self._pair_word[k] = word
                 self._pair_counts[k] = counts
-                self._pair_len[k] = length
                 self._pair_ma[k] = counts[a]
                 self._pair_mb[k] = counts[b]
             for k, (a, b, c) in enumerate(self.tri_keys):
                 self._tri_word[k] = word
                 self._tri_counts[k] = counts
-                self._tri_len[k] = length
                 self._tri_ma[k] = counts[a]
                 self._tri_out[k] = length - counts[a] - counts[b] - counts[c]
             self.initialized = True
             return True
         changed = False
         pma, pmb = self._pair_ma, self._pair_mb
-        pword, pcounts, plen = self._pair_word, self._pair_counts, self._pair_len
+        pword, pcounts = self._pair_word, self._pair_counts
         for k, (a, b) in enumerate(self.pair_keys):
             if counts[a] <= pma[k] and counts[b] >= pmb[k]:
-                if pcounts[k] != counts or plen[k] != length:
+                if pcounts[k] != counts:
                     changed = True
                 pword[k] = word
                 pcounts[k] = counts
-                plen[k] = length
                 pma[k] = counts[a]
                 pmb[k] = counts[b]
         tma, tout = self._tri_ma, self._tri_out
-        tword, tcounts, tlen = self._tri_word, self._tri_counts, self._tri_len
+        tword, tcounts = self._tri_word, self._tri_counts
         for k, (a, b, c) in enumerate(self.tri_keys):
             out = length - counts[a] - counts[b] - counts[c]
             if counts[a] <= tma[k] and out >= tout[k]:
-                if tcounts[k] != counts or tlen[k] != length:
+                if tcounts[k] != counts:
                     changed = True
                 tword[k] = word
                 tcounts[k] = counts
-                tlen[k] = length
                 tma[k] = counts[a]
                 tout[k] = out
         return changed
@@ -203,29 +199,6 @@ class Certificate:
     def word_texts(self, q: int) -> list[str]:
         return [Word.from_raw(w, q).text for w in self.words]
 
-    def verify(self, cfg: DecoderConfig) -> bool:
-        """Recount the six words and re-check all seven equalities."""
-        s1, s2, s3 = self.anchors
-        symbols = alphabet(cfg.q)
-        counts = [symbol_counts(w, symbols) for w in self.words]
-        c1, c2, c3, c4, c5, c6 = counts
-        out1, _, _, out4, out5, out6 = (
-            len(w) - c[s1] - c[s2] - c[s3] for w, c in zip(self.words, counts)
-        )
-        swing = cfg.count_swing
-        grow = cfg.t_ins + cfg.t_sub
-        return (
-            c1[s1] == c2[s1] + swing
-            and c2[s2] == c3[s2] + swing
-            and c3[s3] == c1[s3] + swing
-            and c2[s1] == c4[s1]
-            and c3[s2] == c5[s2]
-            and c1[s3] == c6[s3]
-            and out4 == out1 + grow
-            and out5 == out1 + grow
-            and out6 == out1 + grow
-        )
-
 
 def find_certificate(frontier: Frontier, cfg: DecoderConfig) -> Certificate | None:
     """Scan symbol triples in lexicographic order; return the first whose six
@@ -236,8 +209,8 @@ def find_certificate(frontier: Frontier, cfg: DecoderConfig) -> Certificate | No
     grow = cfg.t_ins + cfg.t_sub
     pidx = frontier._pair_index
     tidx = frontier._tri_index
-    pc, pl = frontier._pair_counts, frontier._pair_len
-    tc, tl = frontier._tri_counts, frontier._tri_len
+    pc, pw = frontier._pair_counts, frontier._pair_word
+    tc, tw, tout = frontier._tri_counts, frontier._tri_word, frontier._tri_out
     for s1, s2, s3 in itertools.permutations(range(frontier.q), 3):
         k1 = pidx[(s3, s1)]
         k2 = pidx[(s1, s2)]
@@ -254,23 +227,9 @@ def find_certificate(frontier: Frontier, cfg: DecoderConfig) -> Certificate | No
         c4, c5, c6 = tc[k4], tc[k5], tc[k6]
         if c2[s1] != c4[s1] or c3[s2] != c5[s2] or c1[s3] != c6[s3]:
             continue
-        target = pl[k1] - c1[s1] - c1[s2] - c1[s3] + grow
-        if (
-            tl[k4] - c4[s1] - c4[s2] - c4[s3] == target
-            and tl[k5] - c5[s1] - c5[s2] - c5[s3] == target
-            and tl[k6] - c6[s1] - c6[s2] - c6[s3] == target
-        ):
-            return Certificate(
-                (s1, s2, s3),
-                (
-                    frontier._pair_word[k1],
-                    frontier._pair_word[k2],
-                    frontier._pair_word[k3],
-                    frontier._tri_word[k4],
-                    frontier._tri_word[k5],
-                    frontier._tri_word[k6],
-                ),
-            )
+        target = len(pw[k1]) - c1[s1] - c1[s2] - c1[s3] + grow
+        if tout[k4] == target and tout[k5] == target and tout[k6] == target:
+            return Certificate((s1, s2, s3), (pw[k1], pw[k2], pw[k3], tw[k4], tw[k5], tw[k6]))
     return None
 
 
@@ -337,12 +296,12 @@ def reconstruct(cert: Certificate, cfg: DecoderConfig) -> str:
 class StreamDecoder:
     """Online decoding engine over raw outputs (see the module docstring).
 
-    push() takes an output as a raw str, a Word or a sequence of symbol ints.
+    push() takes one output as a raw str, a Word or a sequence of symbol ints.
     It returns None while undecided, the decoded word in raw form once
     certified, or "" if a certificate failed its merge (a Las Vegas "give
     up", never a wrong answer).  Certificates are only accepted once six
     outputs have been read.  With all budgets zero the first output is the
-    answer and is returned immediately.
+    answer and is returned immediately.  read() pushes a whole stream.
     """
 
     def __init__(self, cfg: DecoderConfig):
@@ -377,7 +336,7 @@ class StreamDecoder:
         if cfg.count_swing == 0:
             self.result = raw
             return raw
-        if self.frontier.update(raw, counts, length):
+        if self.frontier.update(raw, counts):
             self._pending = True
         if self._pending and self.reads >= 6:
             self._pending = False
@@ -388,20 +347,26 @@ class StreamDecoder:
                 return self.result
         return None
 
+    def read(self, outputs: Iterable) -> str | None:
+        """Push outputs one at a time until push() returns a result, the
+        stream ends or cfg.read_cap outputs have been read in all.
+
+        Returns push()'s result, or None when undecided.  Never takes an
+        output from the stream past the read cap.
+        """
+        for y in itertools.islice(outputs, self.cfg.read_cap - self.reads):
+            result = self.push(y)
+            if result is not None:
+                return result
+        return None
+
 
 def decode_stream(outputs: Iterable, cfg: DecoderConfig) -> Word:
-    """Decode a stream of channel outputs (anything StreamDecoder.push takes).
+    """Decode a stream of channel outputs (anything StreamDecoder.push takes)
+    with StreamDecoder.read.
 
-    Reads words one by one until a certificate fires, the stream ends, or the
-    read cap is hit; returns the transmitted word on success and the empty
-    word otherwise.  A nonempty result is always the transmitted word.
+    Returns the transmitted word on success, and the empty word when the
+    stream ended, the read cap was hit or a merge failed.  A nonempty result
+    is always the transmitted word.
     """
-    cap = cfg.max_reads if cfg.max_reads is not None else default_max_reads(cfg)
-    dec = StreamDecoder(cfg)
-    for y in outputs:
-        if dec.reads >= cap:
-            break
-        out = dec.push(y)
-        if out is not None:
-            return Word.from_raw(out, cfg.q)
-    return Word((), cfg.q)
+    return Word.from_raw(StreamDecoder(cfg).read(outputs) or "", cfg.q)

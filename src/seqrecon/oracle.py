@@ -20,9 +20,11 @@ import itertools
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from operator import itemgetter
 
-from .channels import ChannelModel, OutputCollection
+from .bounds import _v2
+from .channels import ChannelModel, OutputCollection, pattern_count
 from .patterns import (
     ErrorPattern,
     apply_deletion,
@@ -262,8 +264,7 @@ def extremal_search(
     mode = check_mode(mode)
     if not 0 <= t <= n:
         raise ValueError(f"t={t} infeasible for n={n}")
-    pattern_count = len(_keep_getters(n, t, mode))
-    cost = q ** (2 * n) * pattern_count
+    cost = q ** (2 * n) * pattern_count(partial(_v2, n), t, mode)
     if cost > budget:
         raise ValueError(f"search cost {cost} exceeds budget {budget}")
 

@@ -1,25 +1,26 @@
 """Monte Carlo harness: channels read until decode, aggregated over many trials.
 
 Each trial samples a uniform codeword, streams uniform channel outputs into
-the decoder and records how many channels it required, i.e. outputs read
-beyond the one that initialises the decoder's tracking state (a zero-budget
-decode counts its single read).  Trials use independent generators derived
-as Random(f"{seed}:{trial_index}") so a run is reproducible and independent
-of how trials are split across workers.
+StreamDecoder.read and records how many channels it required, i.e. outputs
+read beyond the one that initialises the decoder's tracking state (a
+zero-budget decode counts its single read).  A trial that reaches the
+decoder's read cap without a decision is a failure.  Trials use independent
+generators derived as Random(f"{seed}:{trial_index}") so a run is
+reproducible and independent of how trials are split across workers.
 """
 
 from __future__ import annotations
 
 import csv
 import random
-import time
 import warnings
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 from .codebook import DEFAULT_RARITY, CodeParams, sample_raw_codeword, top_two_threshold
-from .decoder import DecoderConfig, StreamDecoder, default_max_reads
+from .decoder import DecoderConfig, StreamDecoder
 from .patterns import PatternSampler
 from .words import alphabet
 
@@ -48,7 +49,8 @@ class SimSpec:
 
     def decoder_config(self) -> DecoderConfig:
         return DecoderConfig(
-            q=self.q, n=self.n, t_sub=self.t_sub, t_del=self.t_del, t_ins=self.t_ins
+            q=self.q, n=self.n, t_sub=self.t_sub, t_del=self.t_del, t_ins=self.t_ins,
+            max_reads=self.max_reads,
         )
 
 
@@ -60,7 +62,6 @@ class SimResult:
     failures: int = 0
     wrong_decodes: int = 0
     samples: int = 0
-    wall_time: float = 0.0
 
 
 def _median_from_histogram(hist: Counter) -> float | None:
@@ -82,23 +83,19 @@ def _median_from_histogram(hist: Counter) -> float | None:
 
 
 def _run_trials(args) -> tuple[Counter, int, int]:
-    q, n, t_sub, t_del, t_ins, seed, lo, hi, cap = args
-    cfg = DecoderConfig(q=q, n=n, t_sub=t_sub, t_del=t_del, t_ins=t_ins)
-    sampler = PatternSampler(n, q, t_sub, t_del, t_ins)
-    tau = top_two_threshold(CodeParams(q=q, n=n))
-    symbols = alphabet(q)
+    cfg, seed, lo, hi = args
+    sampler = PatternSampler(cfg.n, cfg.q, cfg.t_sub, cfg.t_del, cfg.t_ins)
+    tau = top_two_threshold(CodeParams(q=cfg.q, n=cfg.n))
+    symbols = alphabet(cfg.q)
     hist: Counter = Counter()
     failures = 0
     wrong = 0
     for trial in range(lo, hi):
         rng = random.Random(f"{seed}:{trial}")
-        x = sample_raw_codeword(symbols, n, tau, rng)
+        x = sample_raw_codeword(symbols, cfg.n, tau, rng)
         dec = StreamDecoder(cfg)
-        result = None
-        for _ in range(cap):
-            result = dec.push(sampler.sample_output(rng, x))
-            if result is not None:
-                break
+        # sample_output never returns None, so the stream ends only at the read cap.
+        result = dec.read(iter(partial(sampler.sample_output, rng, x), None))
         if not result:
             failures += 1
         else:
@@ -112,7 +109,8 @@ def run_sim(spec: SimSpec) -> SimResult:
     """Run spec.samples independent trials and aggregate reads-until-decode.
 
     average and median are over halting trials; trials that hit the read cap
-    (or aborted) are counted in failures.  Deterministic given seed.
+    (spec.max_reads, else DecoderConfig.read_cap's default) or whose merge
+    failed are counted in failures.  Deterministic given seed.
     """
     cfg = spec.decoder_config()
     halting_floor = (spec.q - 1) * float(DEFAULT_RARITY) * (spec.t_del + spec.t_sub)
@@ -122,15 +120,9 @@ def run_sim(spec: SimSpec) -> SimResult:
             f"to become likely for these budgets",
             stacklevel=2,
         )
-    cap = spec.max_reads if spec.max_reads is not None else default_max_reads(cfg)
-    start = time.perf_counter()
     chunks = min(spec.samples, spec.jobs * 4 if spec.jobs > 1 else 1)
     bounds = [round(k * spec.samples / chunks) for k in range(chunks + 1)]
-    tasks = [
-        (spec.q, spec.n, spec.t_sub, spec.t_del, spec.t_ins, spec.seed, bounds[k], bounds[k + 1], cap)
-        for k in range(chunks)
-        if bounds[k] < bounds[k + 1]
-    ]
+    tasks = [(cfg, spec.seed, lo, hi) for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
     if spec.jobs > 1:
         with ProcessPoolExecutor(max_workers=spec.jobs) as pool:
             parts = list(pool.map(_run_trials, tasks))
@@ -152,11 +144,12 @@ def run_sim(spec: SimSpec) -> SimResult:
         failures=failures,
         wrong_decodes=wrong,
         samples=spec.samples,
-        wall_time=time.perf_counter() - start,
     )
 
 
-def sweep_rows(specs: list[SimSpec]) -> list[dict]:
+def run_sweep(specs: list[SimSpec], output_path: str | None = None) -> list[dict]:
+    """Simulate every spec and return one table row per spec, in CSV_COLUMNS
+    order; optionally also write the table as CSV."""
     rows = []
     for spec in specs:
         res = run_sim(spec)
@@ -172,12 +165,6 @@ def sweep_rows(specs: list[SimSpec]) -> list[dict]:
                 "samples": spec.samples,
             }
         )
-    return rows
-
-
-def run_sweep(specs: list[SimSpec], output_path: str | None = None) -> list[dict]:
-    """Simulate every spec and optionally write the aggregate table as CSV."""
-    rows = sweep_rows(specs)
     if output_path is not None:
         with open(output_path, "w", newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)

@@ -1,4 +1,6 @@
 import math
+import time
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -143,6 +145,39 @@ def test_pccp_expectation():
     assert abs(bounds.pccp_expectation(2, 2) - 3.0) < 1e-12  # 2*(H2-H0)
     with pytest.raises(ValueError):
         bounds.pccp_expectation(3, 2)
+
+
+def test_pccp_expectation_exact_at_large_m():
+    for j, m in ((3, 10**12), (1, 10**7 + 5), (5, 10**9)):
+        exact = m * sum(Fraction(1, i) for i in range(m - j + 1, m + 1))
+        got = bounds.pccp_expectation(j, m)
+        assert abs(Fraction(got) - exact) <= Fraction(1, 10**12) * exact, (j, m, got)
+
+
+def _harmonic_50_digits(n: int) -> Decimal:
+    """H_n for n > 10^5 from its asymptotic series, to about 50 digits."""
+    gamma = Decimal("0.57721566490153286060651209008240243104215933593992")
+    d = Decimal(n)
+    return d.ln() + gamma + 1 / (2 * d) - 1 / (12 * d**2) + 1 / (120 * d**4) - 1 / (252 * d**6)
+
+
+def test_pccp_expectation_precise_beyond_a_million_draws():
+    # Each case takes another path for j > 10^6: m - j = 0, m - j <= 10^6,
+    # j <= m/2 and j > m/2.
+    cases = ((10**8, 10**8), (3 * 10**6, 3 * 10**6 + 999_999), (2 * 10**6, 10**12), (10**12 - 10**7, 10**12))
+    with localcontext() as ctx:
+        ctx.prec = 50
+        for j, m in cases:
+            rest = _harmonic_50_digits(m - j) if m > j else 0
+            ref = Decimal(m) * (_harmonic_50_digits(m) - rest)
+            got = bounds.pccp_expectation(j, m)
+            assert abs(Decimal(got) - ref) <= ref * Decimal("1e-12"), (j, m, got)
+
+
+def test_pccp_expectation_time_is_bounded():
+    start = time.perf_counter()
+    bounds.pccp_expectation(10**8, 10**8)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_expected_unique_patterns():

@@ -210,3 +210,27 @@ def test_decode_stdout_comma_form_above_ten_symbols(capsys, tmp_path):
     )
     code, out = decode_lines(capsys, tmp_path, [lines[0], "1,2,12,3,4,5,6,7,8,9", *lines[1:]], args)
     assert (code, out) == (1, '{"error": "symbol 12 outside alphabet [0, 11]", "hypothesis_ok": false}\n')
+
+
+def test_decode_stops_before_parsing_past_the_read_cap(capsys, tmp_path):
+    lines = [FIX_ROWS[0], FIX_ROWS[1], "12003x1021", *FIX_ROWS[3:]]
+    code, out = decode_lines(capsys, tmp_path, lines, DECODE_FIX + ("--max-reads", "2"))
+    assert (code, out) == (0, '{"reads_consumed": 2, "result": ""}\n')
+
+
+@pytest.mark.parametrize("cap", ["0", "-3"])
+def test_simulate_refuses_a_read_cap_below_one(capsys, cap):
+    code, out = run_cli(
+        capsys, "simulate", "--q", "4", "--n", "30", "--ts", "1", "--td", "1",
+        "--ti", "1", "--samples", "5", "--seed", "5", "--max-reads", cap,
+    )
+    assert (code, out) == (1, '{"error": "max_reads must be positive", "hypothesis_ok": false}\n')
+
+
+def test_simulate_row_same_with_and_without_out(capsys, tmp_path):
+    args = ("simulate", "--q", "4", "--n", "30", "--ts", "0", "--td", "1",
+            "--ti", "1", "--samples", "25", "--seed", "12", "--max-reads", "40")
+    plain = run_cli(capsys, *args)
+    written = run_cli(capsys, *args, "--out", str(tmp_path / "table.csv"))
+    assert plain == written
+    assert plain[0] == 0

@@ -1,3 +1,4 @@
+import itertools
 import random
 import timeit
 
@@ -12,7 +13,6 @@ from seqrecon.decoder import (
     StreamDecoder,
     certificate_residues,
     decode_stream,
-    default_max_reads,
     find_certificate,
     reconstruct,
     reconstruction_steps,
@@ -34,7 +34,7 @@ FIX_CFG = DecoderConfig(q=6, n=10, t_sub=1, t_del=1, t_ins=2)
 
 
 def offer(frontier, raw):
-    frontier.update(raw, symbol_counts(raw, alphabet(frontier.q)), len(raw))
+    frontier.update(raw, symbol_counts(raw, alphabet(frontier.q)))
 
 
 def feed(rows, cfg):
@@ -109,7 +109,14 @@ def test_fixture_certificate_and_slot_assignment():
     assert cert is not None
     assert cert.anchors == (0, 1, 2)
     assert list(cert.words) == FIX_ROWS
-    assert cert.verify(FIX_CFG)
+    # Recount the six words and re-check all seven count equalities.
+    s1, s2, s3 = cert.anchors
+    c1, c2, c3, c4, c5, c6 = counts = [symbol_counts(w, alphabet(6)) for w in cert.words]
+    out1, _, _, out4, out5, out6 = (len(w) - c[s1] - c[s2] - c[s3] for w, c in zip(cert.words, counts))
+    swing, grow = FIX_CFG.count_swing, FIX_CFG.t_ins + FIX_CFG.t_sub
+    assert c1[s1] == c2[s1] + swing and c2[s2] == c3[s2] + swing and c3[s3] == c1[s3] + swing
+    assert c2[s1] == c4[s1] and c3[s2] == c5[s2] and c1[s3] == c6[s3]
+    assert out4 == out5 == out6 == out1 + grow
 
 
 def test_no_certificate_from_identical_outputs():
@@ -176,10 +183,31 @@ def test_push_validates_outputs():
 
 
 def test_default_read_cap():
-    assert default_max_reads(DecoderConfig(q=4, n=100, t_sub=0, t_del=0, t_ins=1)) == 300
-    assert default_max_reads(DecoderConfig(q=4, n=37, t_sub=0, t_del=0, t_ins=1)) == 1_000_000
+    assert DecoderConfig(q=4, n=100, t_sub=0, t_del=0, t_ins=1).read_cap == 300
+    assert DecoderConfig(q=4, n=37, t_sub=0, t_del=0, t_ins=1).read_cap == 1_000_000
+    assert DecoderConfig(q=5, n=100, t_sub=0, t_del=0, t_ins=1).read_cap == 1_000_000
     cfg = DecoderConfig(q=4, n=100, t_sub=1, t_del=1, t_ins=1, max_reads=77)
-    assert cfg.max_reads == 77
+    assert cfg.read_cap == 77
+
+
+def test_decode_stream_takes_exactly_max_reads_outputs():
+    taken = []
+
+    def outputs():
+        while True:
+            taken.append(FIX_ROWS[0])
+            yield FIX_ROWS[0]
+
+    cfg = DecoderConfig(q=6, n=10, t_sub=1, t_del=1, t_ins=2, max_reads=7)
+    assert decode_stream(outputs(), cfg).text == ""
+    assert len(taken) == 7
+    # The cap counts reads made before read() and leaves the rest unread.
+    dec = StreamDecoder(cfg)
+    dec.push(FIX_ROWS[0])
+    stream = iter([FIX_ROWS[0]] * 10)
+    assert dec.read(stream) is None
+    assert dec.reads == 7
+    assert len(list(stream)) == 4
 
 
 @settings(max_examples=40, deadline=None)
@@ -295,3 +323,54 @@ def test_reconstruct_time_linear_in_length():
     seconds_per_symbol(200)  # warm-up
     ratio = seconds_per_symbol(2000) / seconds_per_symbol(200)
     assert ratio <= 2.0, f"per-symbol reconstruct time ratio {ratio:.2f}"
+
+
+def _all_outputs(sampler, x):
+    """apply_draw of every draw in the sampler's pattern space, in the layout
+    PatternSampler.draw returns: nondecreasing gaps with their inserted
+    symbols, then sorted deletion and substitution positions with offsets."""
+    n, q = sampler.n, sampler.q
+    insertions = [
+        (gaps, symbols)
+        for total in range(sampler.t_ins + 1)
+        for gaps in itertools.combinations_with_replacement(range(n + 1), total)
+        for symbols in itertools.product(range(q), repeat=total)
+    ]
+    edits = [
+        (tuple(p for p in picked if p not in subs), subs, offsets)
+        for n_del in range(sampler.t_del + 1)
+        for n_sub in range(sampler.t_sub + 1)
+        for picked in itertools.combinations(range(n), n_del + n_sub)
+        for subs in itertools.combinations(picked, n_sub)
+        for offsets in itertools.product(range(q - 1), repeat=n_sub)
+    ]
+    return [sampler.apply_draw(ins + edit, x) for ins in insertions for edit in edits]
+
+
+@pytest.mark.parametrize("n, t_sub, t_del, t_ins", [(6, 1, 1, 1), (8, 0, 1, 2)])
+def test_las_vegas_over_whole_pattern_space(n, t_sub, t_del, t_ins):
+    # Every honest output of a small case, in orders built to fill the
+    # certificate slots late or with repeats: a decode is right or empty.
+    cfg = DecoderConfig(q=4, n=n, t_sub=t_sub, t_del=t_del, t_ins=t_ins)
+    sampler = PatternSampler(n, 4, t_sub, t_del, t_ins)
+    rng = random.Random(f"whole-space:{n}")
+    decoded = 0
+    for _ in range(5):
+        x = sample_codeword(CodeParams(q=4, n=n), rng)
+        outs = sorted(_all_outputs(sampler, x.raw))
+        assert len(outs) == sampler.pattern_space
+        shuffled = outs[:]
+        rng.shuffle(shuffled)
+        orders = [
+            outs,
+            outs[::-1],
+            sorted(outs, key=lambda y: _max_count_shift(y, x.raw)),
+            [outs[0]] * 50 + outs,
+            shuffled,
+        ]
+        for order in orders:
+            got = decode_stream(order, cfg)
+            assert got in (x, Word((), 4))
+            decoded += got == x
+    if (n, t_sub, t_del, t_ins) == (8, 0, 1, 2):
+        assert decoded > 0

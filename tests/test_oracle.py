@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from collections import Counter
 
 import pytest
@@ -152,6 +153,14 @@ def test_canonical_flag_dedupes_symbol_relabelings():
 def test_budget_guard():
     with pytest.raises(ValueError):
         extremal_search(10, 2, 2, "at_most", M, budget=1000)
+
+
+def test_budget_refusal_counts_patterns_without_building_them():
+    # C(24, 12) = 2704156 deletion patterns; the refusal must not enumerate them.
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=f"search cost {2**48 * 2704156} exceeds budget 100000000"):
+        extremal_search(24, 2, 12, "exactly", M)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_larger_alphabet_extremal_matches_binary_maximum():
