@@ -9,6 +9,7 @@ expectation helpers are the only floating-point surface.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 
 from .patterns import check_mode
@@ -125,8 +126,18 @@ def binom_ratio_limit(t: int) -> int:
     return math.comb(t, t // 2)
 
 
+def _check_float_range(name: str, value: int) -> None:
+    """Refuse an integer argument that has no float value."""
+    try:
+        float(value)
+    except OverflowError:
+        raise ValueError(f"{name} exceeds the float range (about {sys.float_info.max:.3g})") from None
+
+
 def harmonic_number(m: int) -> float:
-    """m-th harmonic number; exact summation up to 10^6, asymptotic above."""
+    """m-th harmonic number; exact summation up to 10^6, asymptotic above.
+
+    The asymptotic terms divide integers, so any m is accepted."""
     if m < 0:
         raise ValueError(f"requires m >= 0, got {m}")
     if m <= 1_000_000:
@@ -134,9 +145,9 @@ def harmonic_number(m: int) -> float:
     return (
         math.log(m)
         + EULER_GAMMA
-        + 1.0 / (2 * m)
-        - 1.0 / (12 * m * m)
-        + 1.0 / (120 * m**4)
+        + 1 / (2 * m)
+        - 1 / (12 * m * m)
+        + 1 / (120 * m**4)
     )
 
 
@@ -145,21 +156,27 @@ def pccp_expectation(j: int, m: int) -> float:
     distinct patterns have been seen: m * (H_m - H_{m-j}).
 
     Relative error near machine precision for every 1 <= j <= m, at a cost of
-    at most 10^6 terms.
+    at most 10^6 terms.  Refuses an m beyond the float range and a result
+    beyond it.
     """
     if not 1 <= j <= m:
         raise ValueError(f"requires 1 <= j <= m, got j={j}, m={m}")
+    _check_float_range("m", m)
     k = m - j
     if j <= 1_000_000:
         # The tail sum costs O(j) and cancels nothing.
-        return m * math.fsum(1.0 / i for i in range(k + 1, m + 1))
-    if k <= 1_000_000:
+        value = m * math.fsum(1.0 / i for i in range(k + 1, m + 1))
+    elif k <= 1_000_000:
         # j > k here, so m > 2k and H_m - H_k >= ln 2: little cancellation.
-        return m * (harmonic_number(m) - harmonic_number(k))
-    # H_m - H_k from the asymptotic series of each, taken as one difference:
-    # ln(m/k) - j/(2mk) + j(m+k)/(12 m^2 k^2); the next term is below 1/k^4.
-    log_ratio = -math.log1p(-j / m) if 2 * j <= m else math.log(m / k)
-    return m * (log_ratio - j / (2 * m * k) + j * (m + k) / (12 * (m * k) ** 2))
+        value = m * (harmonic_number(m) - harmonic_number(k))
+    else:
+        # H_m - H_k from the asymptotic series of each, taken as one difference:
+        # ln(m/k) - j/(2mk) + j(m+k)/(12 m^2 k^2); the next term is below 1/k^4.
+        log_ratio = -math.log1p(-j / m) if 2 * j <= m else math.log(m / k)
+        value = m * (log_ratio - j / (2 * m * k) + j * (m + k) / (12 * (m * k) ** 2))
+    if math.isinf(value):
+        raise ValueError("the expectation exceeds the float range")
+    return value
 
 
 def expected_unique_patterns(m: int, n_channels: int) -> float:
@@ -167,6 +184,8 @@ def expected_unique_patterns(m: int, n_channels: int) -> float:
     from m patterns: m * (1 - ((m-1)/m)^N)."""
     if m < 1 or n_channels < 0:
         raise ValueError(f"requires m >= 1 and N >= 0, got m={m}, N={n_channels}")
+    _check_float_range("m", m)
+    _check_float_range("N", n_channels)
     if m == 1:
         return 0.0 if n_channels == 0 else 1.0
     return m * -math.expm1(n_channels * math.log1p(-1.0 / m))

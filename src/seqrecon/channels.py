@@ -47,8 +47,8 @@ class OutputCollection:
     """Words received from a batch of channels, with multiplicities.
 
     kind is "set" or "multiset"; a set collection stores every count as 1.
-    Words are kept in a canonical (length, symbols) order for stable
-    serialisation and equality.
+    Words are kept in a canonical (length, symbols) order, the same as the
+    (length, raw form) order, for stable serialisation and equality.
     """
 
     __slots__ = ("kind", "counts", "distinct_patterns")
@@ -61,7 +61,7 @@ class OutputCollection:
                 raise ValueError(f"multiplicity {c} for {w!r} must be >= 1")
         if kind == "set":
             counts = {w: 1 for w in counts}
-        items = sorted(counts.items(), key=lambda wc: (len(wc[0]), wc[0].symbols))
+        items = sorted(counts.items(), key=lambda wc: (len(wc[0]), wc[0].raw))
         self.kind = kind
         self.counts = dict(items)
         self.distinct_patterns = distinct_patterns

@@ -11,15 +11,25 @@ Requires q >= 4: with fewer symbols the positions of the untouched symbols
 cannot be recovered.
 
 Outputs are held in the raw form of seqrecon.words, one character per symbol,
-for every q.  StreamDecoder.read is the one read loop: it stops at the first
-decision, at the end of the stream or at DecoderConfig.read_cap reads.
+for every q; a Word stores that form, so pushing one costs no conversion.
+StreamDecoder.read is the one read loop: it stops at the first decision, at
+the end of the stream or at DecoderConfig.read_cap reads.
+
+A read pays for what it changes.  Frontier.update skips the slots anchored at
+a symbol the new output holds too many of to displace any of them, and marks
+the anchor triples of every slot whose stored counts changed; the certificate
+scan checks only those, since the check reads stored counts alone.  The
+slots and anchor triples of each q are tabulated once per process
+(_slot_table).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .words import Word, alphabet, as_raw, symbol_counts
 
@@ -80,6 +90,60 @@ class DecoderConfig:
         return 50 * median if self.q == 4 and median else 1_000_000
 
 
+class _SlotTable(NamedTuple):
+    """The slots and anchor triples of one alphabet size, shared by every
+    Frontier of that size (see _slot_table)."""
+
+    pair_keys: list  # (a, b), grouped by a
+    tri_keys: list  # (a, b, c) with b < c, grouped by a
+    pair_index: dict
+    tri_index: dict
+    pair_groups: tuple  # per symbol a: ((slot, b), ...) of the pair slots (a, b)
+    tri_groups: tuple  # per symbol a: ((slot, b, c), ...) of the triple slots (a, b, c)
+    anchors: tuple  # (s1, s2, s3, k1, ..., k6) per permutation, in lexicographic order
+    pair_anchors: tuple  # per pair slot: indices into anchors of the triples using it
+    tri_anchors: tuple  # per triple slot: the same
+
+
+@functools.lru_cache(maxsize=16)
+def _slot_table(q: int) -> _SlotTable:
+    symbols = range(q)
+    pair_keys = [(a, b) for a in symbols for b in symbols if a != b]
+    tri_keys = [
+        (a, b, c)
+        for a in symbols
+        for b, c in itertools.combinations((s for s in symbols if s != a), 2)
+    ]
+    pair_index = {key: k for k, key in enumerate(pair_keys)}
+    tri_index = {key: k for k, key in enumerate(tri_keys)}
+
+    def tri(a, b, c):
+        return tri_index[(a, min(b, c), max(b, c))]
+
+    anchors = []
+    pair_anchors = [[] for _ in pair_keys]
+    tri_anchors = [[] for _ in tri_keys]
+    for i, (s1, s2, s3) in enumerate(itertools.permutations(symbols, 3)):
+        pairs = (pair_index[(s3, s1)], pair_index[(s1, s2)], pair_index[(s2, s3)])
+        triples = (tri(s1, s2, s3), tri(s2, s1, s3), tri(s3, s1, s2))
+        anchors.append((s1, s2, s3) + pairs + triples)
+        for k in pairs:
+            pair_anchors[k].append(i)
+        for k in triples:
+            tri_anchors[k].append(i)
+    return _SlotTable(
+        pair_keys,
+        tri_keys,
+        pair_index,
+        tri_index,
+        tuple(tuple((k, b) for k, (x, b) in enumerate(pair_keys) if x == a) for a in symbols),
+        tuple(tuple((k, b, c) for k, (x, b, c) in enumerate(tri_keys) if x == a) for a in symbols),
+        tuple(anchors),
+        tuple(map(tuple, pair_anchors)),
+        tuple(map(tuple, tri_anchors)),
+    )
+
+
 class Frontier:
     """Best-so-far outputs per ordered symbol pair and per symbol triple.
 
@@ -89,14 +153,20 @@ class Frontier:
     rule is symmetric in b, c so those slots are stored once per unordered
     {b, c} and looked up under any order.  Every slot keeps the stored word's
     symbol counts so certificate checks need no recount.
+
+    The slots anchored at a symbol a, (a, b) and (a, b, c), form its group.
+    `_gate[a]` is the largest M_a stored in a's group: an output with more
+    a's than that displaces none of them, ties included, so update() skips
+    the group.  `pending` holds the indices, in the table's lexicographic
+    anchor order, of the anchor triples that use a slot whose stored counts
+    changed; the first output changes every slot.
+    find_certificate() checks only those, and the caller clears the set
+    after a scan that found nothing.
     """
 
     __slots__ = (
         "q",
-        "pair_keys",
-        "tri_keys",
-        "_pair_index",
-        "_tri_index",
+        "_table",
         "_pair_word",
         "_pair_counts",
         "_pair_ma",
@@ -105,82 +175,77 @@ class Frontier:
         "_tri_counts",
         "_tri_ma",
         "_tri_out",
-        "initialized",
+        "_gate",
+        "pending",
     )
 
     def __init__(self, q: int):
         if q < 4:
             raise ValueError(f"requires q >= 4, got q={q}")
         self.q = q
-        self.pair_keys = [(a, b) for a in range(q) for b in range(q) if a != b]
-        self.tri_keys = [
-            (a, b, c)
-            for a in range(q)
-            for b, c in itertools.combinations((s for s in range(q) if s != a), 2)
-        ]
-        self._pair_index = {key: k for k, key in enumerate(self.pair_keys)}
-        self._tri_index = {key: k for k, key in enumerate(self.tri_keys)}
-        np, nt = len(self.pair_keys), len(self.tri_keys)
+        self._table = table = _slot_table(q)
+        np, nt = len(table.pair_keys), len(table.tri_keys)
+        # Bounds that the first output beats in every slot.
         self._pair_word = [None] * np
         self._pair_counts = [None] * np
-        self._pair_ma = [0] * np
-        self._pair_mb = [0] * np
+        self._pair_ma = [math.inf] * np
+        self._pair_mb = [-1] * np
         self._tri_word = [None] * nt
         self._tri_counts = [None] * nt
-        self._tri_ma = [0] * nt
-        self._tri_out = [0] * nt
-        self.initialized = False
+        self._tri_ma = [math.inf] * nt
+        self._tri_out = [-1] * nt
+        self._gate = [math.inf] * q
+        self.pending: set[int] = set()
 
-    def update(self, word: str, counts: tuple[int, ...]) -> bool:
-        """Offer one output, with its symbol counts, to every slot; returns
-        True when any slot's stored counts changed (a word swap with identical
-        counts is no change)."""
+    def update(self, word: str, counts: tuple[int, ...]) -> None:
+        """Offer one output, with its symbol counts, to every slot; mark as
+        pending the anchor triples of every slot whose stored counts changed
+        (a word swap with identical counts is no change)."""
+        table = self._table
         length = len(word)
-        if not self.initialized:
-            for k, (a, b) in enumerate(self.pair_keys):
-                self._pair_word[k] = word
-                self._pair_counts[k] = counts
-                self._pair_ma[k] = counts[a]
-                self._pair_mb[k] = counts[b]
-            for k, (a, b, c) in enumerate(self.tri_keys):
-                self._tri_word[k] = word
-                self._tri_counts[k] = counts
-                self._tri_ma[k] = counts[a]
-                self._tri_out[k] = length - counts[a] - counts[b] - counts[c]
-            self.initialized = True
-            return True
-        changed = False
+        gate, pending = self._gate, self.pending
         pma, pmb = self._pair_ma, self._pair_mb
-        pword, pcounts = self._pair_word, self._pair_counts
-        for k, (a, b) in enumerate(self.pair_keys):
-            if counts[a] <= pma[k] and counts[b] >= pmb[k]:
-                if pcounts[k] != counts:
-                    changed = True
-                pword[k] = word
-                pcounts[k] = counts
-                pma[k] = counts[a]
-                pmb[k] = counts[b]
+        pword, pcounts, pair_anchors = self._pair_word, self._pair_counts, table.pair_anchors
         tma, tout = self._tri_ma, self._tri_out
-        tword, tcounts = self._tri_word, self._tri_counts
-        for k, (a, b, c) in enumerate(self.tri_keys):
-            out = length - counts[a] - counts[b] - counts[c]
-            if counts[a] <= tma[k] and out >= tout[k]:
-                if tcounts[k] != counts:
-                    changed = True
-                tword[k] = word
-                tcounts[k] = counts
-                tma[k] = counts[a]
-                tout[k] = out
-        return changed
+        tword, tcounts, tri_anchors = self._tri_word, self._tri_counts, table.tri_anchors
+        for a, ca in enumerate(counts):
+            if ca > gate[a]:
+                continue
+            lowered = False
+            for k, b in table.pair_groups[a]:
+                if ca <= pma[k] and counts[b] >= pmb[k]:
+                    if pcounts[k] != counts:
+                        pending.update(pair_anchors[k])
+                    lowered = lowered or ca < pma[k]
+                    pword[k] = word
+                    pcounts[k] = counts
+                    pma[k] = ca
+                    pmb[k] = counts[b]
+            rest = length - ca
+            for k, b, c in table.tri_groups[a]:
+                out = rest - counts[b] - counts[c]
+                if ca <= tma[k] and out >= tout[k]:
+                    if tcounts[k] != counts:
+                        pending.update(tri_anchors[k])
+                    lowered = lowered or ca < tma[k]
+                    tword[k] = word
+                    tcounts[k] = counts
+                    tma[k] = ca
+                    tout[k] = out
+            if lowered:
+                gate[a] = max(
+                    max(pma[k] for k, _ in table.pair_groups[a]),
+                    max(tma[k] for k, _, _ in table.tri_groups[a]),
+                )
 
     def get_pair(self, a: int, b: int):
         """(stored word, M_a, M_b) for slot (a, b)."""
-        k = self._pair_index[(a, b)]
+        k = self._table.pair_index[(a, b)]
         return self._pair_word[k], self._pair_ma[k], self._pair_mb[k]
 
     def get_triple(self, a: int, b: int, c: int):
         """(stored word, M_a, count outside {a,b,c}) for slot (a, b, c)."""
-        k = self._tri_index[(a,) + tuple(sorted((b, c)))]
+        k = self._table.tri_index[(a,) + tuple(sorted((b, c)))]
         return self._tri_word[k], self._tri_ma[k], self._tri_out[k]
 
 
@@ -201,31 +266,28 @@ class Certificate:
 
 
 def find_certificate(frontier: Frontier, cfg: DecoderConfig) -> Certificate | None:
-    """Scan symbol triples in lexicographic order; return the first whose six
-    slots satisfy all seven count equalities, or None."""
-    if not frontier.initialized:
-        return None
+    """Check the frontier's pending anchor triples in lexicographic order;
+    return the first whose six slots satisfy all seven count equalities, or
+    None.
+
+    The check reads stored counts only, so a triple whose six slots are
+    unchanged since a scan that rejected it still fails: the first pending
+    hit is the first hit of a scan over all triples.
+    """
     swing = cfg.count_swing
     grow = cfg.t_ins + cfg.t_sub
-    pidx = frontier._pair_index
-    tidx = frontier._tri_index
+    anchors = frontier._table.anchors
     pc, pw = frontier._pair_counts, frontier._pair_word
     tc, tw, tout = frontier._tri_counts, frontier._tri_word, frontier._tri_out
-    for s1, s2, s3 in itertools.permutations(range(frontier.q), 3):
-        k1 = pidx[(s3, s1)]
-        k2 = pidx[(s1, s2)]
+    for i in sorted(frontier.pending):
+        s1, s2, s3, k1, k2, k3, k4, k5, k6 = anchors[i]
         c1, c2 = pc[k1], pc[k2]
         if c1[s1] != c2[s1] + swing:
             continue
-        k3 = pidx[(s2, s3)]
         c3 = pc[k3]
         if c2[s2] != c3[s2] + swing or c3[s3] != c1[s3] + swing:
             continue
-        k4 = tidx[(s1,) + tuple(sorted((s2, s3)))]
-        k5 = tidx[(s2,) + tuple(sorted((s1, s3)))]
-        k6 = tidx[(s3,) + tuple(sorted((s1, s2)))]
-        c4, c5, c6 = tc[k4], tc[k5], tc[k6]
-        if c2[s1] != c4[s1] or c3[s2] != c5[s2] or c1[s3] != c6[s3]:
+        if c2[s1] != tc[k4][s1] or c3[s2] != tc[k5][s2] or c1[s3] != tc[k6][s3]:
             continue
         target = len(pw[k1]) - c1[s1] - c1[s2] - c1[s3] + grow
         if tout[k4] == target and tout[k5] == target and tout[k6] == target:
@@ -311,7 +373,6 @@ class StreamDecoder:
         self.certificate: Certificate | None = None
         self.result = None
         self._alphabet = alphabet(cfg.q)
-        self._pending = False
 
     @property
     def channels_required(self) -> int:
@@ -336,15 +397,15 @@ class StreamDecoder:
         if cfg.count_swing == 0:
             self.result = raw
             return raw
-        if self.frontier.update(raw, counts):
-            self._pending = True
-        if self._pending and self.reads >= 6:
-            self._pending = False
-            cert = find_certificate(self.frontier, cfg)
+        frontier = self.frontier
+        frontier.update(raw, counts)
+        if frontier.pending and self.reads >= 6:
+            cert = find_certificate(frontier, cfg)
             if cert is not None:
                 self.certificate = cert
                 self.result = reconstruct(cert, cfg)
                 return self.result
+            frontier.pending.clear()
         return None
 
     def read(self, outputs: Iterable) -> str | None:

@@ -179,7 +179,7 @@ def apply_deletion(x: Word, d: DeletionVector) -> Word:
     """Remove every coordinate of x flagged by the mask, keeping relative order."""
     if len(d.mask) != len(x):
         raise ValueError(f"mask length {len(d.mask)} != word length {len(x)}")
-    return Word((s for s, b in zip(x.symbols, d.mask) if not b), x.q)
+    return Word.from_raw("".join([c for c, b in zip(x.raw, d.mask) if not b]), x.q)
 
 
 def apply_insertion(x: Word, v: InsertionVector) -> Word:

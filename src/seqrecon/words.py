@@ -4,16 +4,17 @@ Symbols are integers in [0, q-1].  Coordinate positions are 1-based in every
 public function that talks about positions.  The alphabet is carried around as
 the plain integer q.
 
-Hot paths (sampling, channel outputs, decoding) hold a word in one raw form: a
-str in which symbol s is the character chr(48 + s).  For q <= 10 that is the
-digit string Word.text prints ("0123"); above that it runs on past "9"
-(":" is 10, ";" is 11) with no ceiling on q.
+Every word is held in one raw form: a str in which symbol s is the character
+chr(48 + s).  For q <= 10 that is the digit string Word.text prints ("0123");
+above that it runs on past "9" (":" is 10, ";" is 11) with no ceiling on q.
+Word stores the raw form itself, so Word.raw, as_raw and a Word's equality
+and hash touch no per-symbol work; its symbols are derived from the raw form
+when asked for.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from typing import Iterable, Iterator
 
 _OFFSET = 48  # ord("0"): symbol s is the character chr(_OFFSET + s)
@@ -23,27 +24,44 @@ def _to_raw(symbols: Iterable[int]) -> str:
     return "".join([chr(_OFFSET + s) for s in symbols])
 
 
+def _check_alphabet_size(q: int) -> None:
+    if q < 2:
+        raise ValueError(f"alphabet size must be >= 2, got {q}")
+
+
+def _to_symbols(raw: str) -> tuple[int, ...]:
+    return tuple([ord(c) - _OFFSET for c in raw])
+
+
 class Word:
-    """Immutable q-ary word.
+    """Immutable q-ary word, stored in raw form (see the module docstring).
 
     The text form is a digit string for q <= 10 ("11101") and a
     comma-separated list of integers for larger alphabets ("1,12,0").
     The empty word is valid and prints as "".
     """
 
-    __slots__ = ("symbols", "q")
+    __slots__ = ("raw", "q")
 
     def __init__(self, symbols: Iterable[int], q: int):
-        if q < 2:
-            raise ValueError(f"alphabet size must be >= 2, got {q}")
+        _check_alphabet_size(q)
         if isinstance(symbols, str):
             raise ValueError("symbols must be integers; use Word.parse for text")
         syms = tuple(symbols)
         for s in syms:
             if not 0 <= s < q:
                 raise ValueError(f"symbol {s} outside alphabet [0, {q - 1}]")
-        object.__setattr__(self, "symbols", syms)
+        object.__setattr__(self, "raw", _to_raw(syms))
         object.__setattr__(self, "q", q)
+
+    @classmethod
+    def _of_raw(cls, raw: str, q: int) -> "Word":
+        """Wrap a raw form already known to hold only alphabet symbols."""
+        _check_alphabet_size(q)
+        word = cls.__new__(cls)
+        object.__setattr__(word, "raw", raw)
+        object.__setattr__(word, "q", q)
+        return word
 
     def __setattr__(self, name, value):
         raise AttributeError("Word is immutable")
@@ -52,8 +70,8 @@ class Word:
     def parse(cls, text: str, q: int) -> "Word":
         """Parse the text form for alphabet q (see class docstring)."""
         text = text.strip()
-        if text == "":
-            return cls((), q)
+        if text == "" or (q <= 10 and not text.strip(alphabet(q))):
+            return cls._of_raw(text, q)  # empty, or only alphabet digits: the raw form
         if q <= 10 and "," not in text:
             try:
                 syms = tuple(int(c) for c in text)
@@ -66,36 +84,36 @@ class Word:
     @classmethod
     def from_raw(cls, raw: str, q: int) -> "Word":
         """The word held in raw form (see the module docstring)."""
-        return cls([ord(c) - _OFFSET for c in raw], q)
+        if raw.strip(alphabet(q)):
+            return cls(_to_symbols(raw), q)  # raises on the symbol outside the alphabet
+        return cls._of_raw(raw, q)
 
     @property
-    def raw(self) -> str:
-        return _to_raw(self.symbols)
+    def symbols(self) -> tuple[int, ...]:
+        return _to_symbols(self.raw)
 
     @property
     def text(self) -> str:
         if self.q <= 10:
             return self.raw
-        return ",".join(map(str, self.symbols))
+        return ",".join(map(str, self))
 
     def __len__(self) -> int:
-        return len(self.symbols)
+        return len(self.raw)
 
     def __iter__(self) -> Iterator[int]:
-        return iter(self.symbols)
+        return (ord(c) - _OFFSET for c in self.raw)
 
     def __getitem__(self, i):
-        return self.symbols[i]
+        if isinstance(i, slice):
+            return _to_symbols(self.raw[i])
+        return ord(self.raw[i]) - _OFFSET
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Word)
-            and self.q == other.q
-            and self.symbols == other.symbols
-        )
+        return isinstance(other, Word) and self.q == other.q and self.raw == other.raw
 
     def __hash__(self) -> int:
-        return hash((self.symbols, self.q))
+        return hash((self.raw, self.q))
 
     def __repr__(self) -> str:
         return f"Word({self.text!r}, q={self.q})"
@@ -111,16 +129,18 @@ def as_raw(y) -> str:
     to be in raw form already and comes back unchanged."""
     if isinstance(y, str):
         return y
+    if isinstance(y, Word):
+        return y.raw
     return _to_raw(y)
 
 
 def symbol_counts(raw: str, symbols: str) -> tuple[int, ...]:
-    """Occurrences of each symbol of the alphabet string `symbols` in raw.
+    """Occurrences of each symbol of the alphabet string `symbols` in raw,
+    one str.count pass per symbol.
 
     Raises ValueError when raw holds a character outside the alphabet.
     """
-    found = Counter(raw)
-    counts = tuple(map(found.__getitem__, symbols))
+    counts = tuple(map(raw.count, symbols))
     if sum(counts) != len(raw):
         raise ValueError(f"output contains symbols outside the q={len(symbols)} alphabet")
     return counts
@@ -128,12 +148,12 @@ def symbol_counts(raw: str, symbols: str) -> tuple[int, ...]:
 
 def support(w: Word) -> set[int]:
     """1-based positions of the nonzero symbols of w."""
-    return {i + 1 for i, s in enumerate(w.symbols) if s != 0}
+    return {i + 1 for i, s in enumerate(w) if s != 0}
 
 
 def weight(w: Word) -> int:
     """Number of nonzero coordinates."""
-    return sum(1 for s in w.symbols if s != 0)
+    return sum(1 for s in w if s != 0)
 
 
 def hamming_distance(w: Word, z: Word) -> int:
@@ -142,7 +162,7 @@ def hamming_distance(w: Word, z: Word) -> int:
         raise ValueError("alphabet mismatch")
     if len(w) != len(z):
         raise ValueError(f"length mismatch: {len(w)} vs {len(z)}")
-    return sum(1 for a, b in zip(w.symbols, z.symbols) if a != b)
+    return sum(1 for a, b in zip(w.raw, z.raw) if a != b)
 
 
 def hamming_ball_volume(q: int, n: int, t: int) -> int:

@@ -180,6 +180,22 @@ def test_pccp_expectation_time_is_bounded():
     assert time.perf_counter() - start < 0.5
 
 
+def test_expectations_beyond_the_float_range():
+    # Integer arguments with no float value, and results with none, are
+    # refused; huge arguments with a float result are evaluated.
+    assert abs(bounds.harmonic_number(10**200) - (200 * math.log(10) + bounds.EULER_GAMMA)) < 1e-9
+    got = bounds.pccp_expectation(10**200, 10**200)
+    assert abs(got / 10**200 - bounds.harmonic_number(10**200)) < 1e-9
+    for call in (
+        lambda: bounds.pccp_expectation(1, 10**400),
+        lambda: bounds.pccp_expectation(10**307, 10**307),
+        lambda: bounds.expected_unique_patterns(10**400, 5),
+        lambda: bounds.expected_unique_patterns(5, 10**400),
+    ):
+        with pytest.raises(ValueError, match="float range"):
+            call()
+
+
 def test_expected_unique_patterns():
     assert bounds.expected_unique_patterns(17, 0) == 0.0
     assert abs(bounds.expected_unique_patterns(17, 1) - 1.0) < 1e-12

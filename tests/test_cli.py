@@ -124,6 +124,15 @@ def test_expect_subcommands(capsys):
     assert 99.9 <= float(out) <= 100.0
 
 
+@pytest.mark.parametrize("args", [("pccp", "--j", "1"), ("unique", "--N", "5")])
+def test_expect_refuses_m_beyond_float_range(capsys, args):
+    code, out = run_cli(capsys, "expect", *args, "--m", "1" + "0" * 400)
+    assert code == 1
+    record = json.loads(out)
+    assert record["hypothesis_ok"] is False
+    assert record["error"].startswith("m exceeds the float range")
+
+
 def test_simulate_csv_output(capsys, tmp_path):
     path = tmp_path / "table.csv"
     code, out = run_cli(

@@ -275,7 +275,7 @@ def test_zero_budget_push_rejects_symbols_outside_alphabet():
 
 
 def _max_count_shift(y, x):
-    return max(abs(y.count(d) - x.count(d)) for d in "0123")
+    return max(abs(y.count(d) - x.count(d)) for d in set(x + y))
 
 
 @settings(max_examples=15, deadline=None)
@@ -303,6 +303,104 @@ def test_las_vegas_on_adversarial_orders(seed):
             if out is not None:
                 break
         assert out in (None, "", x)
+
+
+class _ReferenceFrontier:
+    """The decoder's frontier and scan without the gate or the pending set:
+    every slot is offered every output, and certificate() scans every anchor
+    permutation in lexicographic order.  Slots map key -> (word, counts)."""
+
+    def __init__(self, q):
+        self.q = q
+        self.pairs = {(a, b): None for a in range(q) for b in range(q) if a != b}
+        self.triples = {
+            (a, b, c): None
+            for a in range(q)
+            for b, c in itertools.combinations(range(q), 2)
+            if a not in (b, c)
+        }
+
+    def offer(self, word):
+        counts = symbol_counts(word, alphabet(self.q))
+        for (a, b), slot in self.pairs.items():
+            if slot is None or (counts[a] <= slot[1][a] and counts[b] >= slot[1][b]):
+                self.pairs[(a, b)] = (word, counts)
+        for (a, b, c), slot in self.triples.items():
+            if slot is None or (
+                counts[a] <= slot[1][a]
+                and len(word) - counts[a] - counts[b] - counts[c]
+                >= len(slot[0]) - slot[1][a] - slot[1][b] - slot[1][c]
+            ):
+                self.triples[(a, b, c)] = (word, counts)
+
+    def certificate(self, cfg):
+        swing, grow = cfg.count_swing, cfg.t_ins + cfg.t_sub
+        for s1, s2, s3 in itertools.permutations(range(self.q), 3):
+            slots = (
+                self.pairs[(s3, s1)],
+                self.pairs[(s1, s2)],
+                self.pairs[(s2, s3)],
+                self.triples[(s1,) + tuple(sorted((s2, s3)))],
+                self.triples[(s2,) + tuple(sorted((s1, s3)))],
+                self.triples[(s3,) + tuple(sorted((s1, s2)))],
+            )
+            c1, c2, c3, c4, c5, c6 = (c for _, c in slots)
+            out1, _, _, out4, out5, out6 = (len(w) - c[s1] - c[s2] - c[s3] for w, c in slots)
+            if (
+                c1[s1] == c2[s1] + swing
+                and c2[s2] == c3[s2] + swing
+                and c3[s3] == c1[s3] + swing
+                and (c2[s1], c3[s2], c1[s3]) == (c4[s1], c5[s2], c6[s3])
+                and out4 == out5 == out6 == out1 + grow
+            ):
+                return Certificate((s1, s2, s3), tuple(w for w, _ in slots))
+        return None
+
+
+def _stored_slots(frontier):
+    table = frontier._table
+    pairs = {key: (frontier._pair_word[k], frontier._pair_counts[k]) for k, key in enumerate(table.pair_keys)}
+    triples = {key: (frontier._tri_word[k], frontier._tri_counts[k]) for k, key in enumerate(table.tri_keys)}
+    return pairs, triples
+
+
+@pytest.mark.parametrize("q, reads", [(4, 600), (5, 600), (8, 200), (12, 50)])
+@pytest.mark.parametrize("budgets", [(1, 1, 1), (0, 1, 2), (2, 1, 1)])
+def test_incremental_decoder_matches_full_scan_and_ungated_update(q, reads, budgets):
+    # After every push the gated frontier holds what the ungated one holds,
+    # and the scan of pending anchor triples finds what a scan of all of them
+    # finds: on a seeded stream and on the adversarial orders of
+    # test_las_vegas_on_adversarial_orders.
+    n = 12
+    cfg = DecoderConfig(q, n, *budgets)
+    sampler = PatternSampler(n, q, *budgets)
+    rng = random.Random(f"incremental:{q}:{budgets}")
+    x = "".join(rng.choices(alphabet(q), k=n))
+    stream = [sampler.sample_output(rng, x) for _ in range(reads)]
+    outs = sorted(set(stream))
+    orders = [
+        stream,
+        outs,
+        [outs[rng.randrange(len(outs))]] * 30 + outs,
+        sorted(outs, key=lambda y: _max_count_shift(y, x)),
+    ]
+    decoded = 0
+    for order in orders:
+        dec = StreamDecoder(cfg)
+        ref = _ReferenceFrontier(q)
+        for y in order:
+            got = dec.push(y)
+            ref.offer(y)
+            assert _stored_slots(dec.frontier) == (ref.pairs, ref.triples)
+            expected = ref.certificate(cfg)
+            if got is not None:
+                assert dec.certificate == expected
+                assert got in ("", x)
+                decoded += got == x
+                break
+            assert find_certificate(dec.frontier, cfg) == expected
+    if budgets == (0, 1, 2) and q <= 8 or (q, budgets) == (4, (1, 1, 1)):
+        assert decoded == len(orders)
 
 
 def test_reconstruct_time_linear_in_length():

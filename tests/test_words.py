@@ -113,3 +113,68 @@ def test_distance_metric_properties(a, b, c):
 @given(words_q4)
 def test_weight_equals_support_size(w):
     assert weight(w) == len(support(w))
+
+
+@pytest.mark.parametrize(
+    "text, q, message",
+    [
+        ("01x2", 4, "bad word text '01x2' for q=4"),
+        ("0125", 4, "symbol 5 outside alphabet [0, 3]"),
+        ("1,x", 12, "invalid literal for int() with base 10: 'x'"),
+        ("1,12", 12, "symbol 12 outside alphabet [0, 11]"),
+        ("3,", 12, "invalid literal for int() with base 10: ''"),
+        ("0", 1, "alphabet size must be >= 2, got 1"),
+    ],
+)
+def test_parse_error_messages(text, q, message):
+    with pytest.raises(ValueError) as err:
+        Word.parse(text, q)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "text, q, symbols",
+    [
+        ("", 4, ()),
+        ("  \r\n", 4, ()),
+        ("", 12, ()),
+        ("0123\r\n", 4, (0, 1, 2, 3)),
+        ("٣٣", 4, (3, 3)),  # Arabic-Indic digits parse as int() does
+        ("1,2", 4, (1, 2)),
+        ("1,11,0\r\n", 12, (1, 11, 0)),
+    ],
+)
+def test_parse_blank_crlf_and_unicode_digits(text, q, symbols):
+    w = Word.parse(text, q)
+    assert w == Word(symbols, q)
+    assert w.symbols == symbols
+    assert w.raw == "".join(chr(48 + s) for s in symbols)
+
+
+def test_from_raw_rejects_symbols_outside_alphabet():
+    with pytest.raises(ValueError, match=r"symbol 12 outside alphabet \[0, 11\]"):
+        Word.from_raw("0<", 12)
+    with pytest.raises(ValueError, match=r"symbol -1 outside alphabet \[0, 3\]"):
+        Word.from_raw("/", 4)
+
+
+@given(
+    st.sampled_from([2, 4, 10, 12, 40]).flatmap(
+        lambda q: st.tuples(st.just(q), st.lists(st.integers(0, q - 1), max_size=12).map(tuple))
+    )
+)
+def test_raw_word_agrees_with_tuple_form(case):
+    q, symbols = case
+    w = Word(symbols, q)
+    assert w.symbols == symbols
+    assert list(w) == list(symbols)
+    assert len(w) == len(symbols)
+    assert [w[i] for i in range(-len(w), len(w))] == [symbols[i] for i in range(-len(w), len(w))]
+    assert w[1:3] == symbols[1:3]
+    for same in (Word.from_raw(w.raw, q), Word.parse(w.text, q)):
+        assert same == w and hash(same) == hash(w)
+        assert same.symbols == symbols
+    assert w != Word(symbols, q + 1)
+    if symbols:
+        other = Word(symbols[:-1] + ((symbols[-1] + 1) % q,), q)
+        assert other != w and other.symbols != symbols
