@@ -260,7 +260,8 @@ def build_parser() -> argparse.ArgumentParser:
     x.add_argument("--model", required=True)
     x.add_argument("--canonical", action="store_true", help="dedupe pairs up to symbol relabelling")
     x.add_argument("--budget", type=int, default=100_000_000)
-    x.add_argument("--jobs", type=int, default=_env_int("SEQRECON_JOBS", 1))
+    x.add_argument("--jobs", type=int, default=_env_int("SEQRECON_JOBS", 1),
+                   help="accepted for compatibility; the search runs in one process")
     x.set_defaults(run=_cmd_extremal)
 
     c = sub.add_parser("code", help="frequency-restricted code: threshold, counts, membership")

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import time
 from collections import Counter
@@ -164,14 +165,22 @@ def test_budget_refusal_counts_patterns_without_building_them():
 
 
 def test_larger_alphabet_extremal_matches_binary_maximum():
-    # collapsing symbols cannot lower pattern-model confusability, so the
-    # ternary maximum equals the binary one and binary pairs attain it
-    binary = extremal_search(4, 2, 1, "exactly", M)
-    ternary = extremal_search(4, 3, 1, "exactly", M)
-    assert ternary.n_max_confusable == binary.n_max_confusable
-    binary_pairs = {(a.text, b.text) for a, b in binary.pairs}
-    ternary_pairs = {(a.text, b.text) for a, b in ternary.pairs}
-    assert binary_pairs <= ternary_pairs
+    # The q-ary maximum equals the binary one and binary pairs attain it.
+    # The q-ary scan starts from the binary maximum, so a lower q-ary
+    # maximum would show as no attaining pair rather than as a lower count.
+    cases = [(4, 3, 1, M)] + [
+        (n, q, t, model)
+        for n, q in ((7, 3), (6, 4))
+        for t in (1, 2)
+        for model in (M, NM)
+    ]
+    for n, q, t, model in cases:
+        binary = extremal_search(n, 2, t, "exactly", model)
+        qary = extremal_search(n, q, t, "exactly", model, budget=2**31)
+        assert qary.n_max_confusable == binary.n_max_confusable, (n, q, t, model)
+        assert qary.pairs
+        binary_pairs = {(a.text, b.text) for a, b in binary.pairs}
+        assert binary_pairs <= {(a.text, b.text) for a, b in qary.pairs}
 
 
 def test_parallel_scan_agrees_with_serial():
@@ -200,3 +209,72 @@ def test_traditional_indistinguishable_pairs_are_reported_separately():
     for a, b in res.pairs:
         assert outputs(a) != outputs(b)
         assert len(outputs(a) & outputs(b)) == res.n_max_confusable
+
+
+def all_pairs_reference(n, q, t, mode, model):
+    """The plain scan over every word pair, in (i, j) order.
+
+    Returns (n_max, pairs, indistinguishable, searched_pairs) as texts.
+    """
+    words = [Word(s, q) for s in itertools.product(range(q), repeat=n)]
+    weights = range(t + 1) if mode == "at_most" else (t,)
+    cuts = [set(c) for w in weights for c in itertools.combinations(range(n), w)]
+    outs = [
+        Counter(tuple(s for k, s in enumerate(x.symbols) if k not in cut) for cut in cuts)
+        for x in words
+    ]
+    best, pairs, never = -1, [], []
+    for i, j in itertools.combinations(range(len(words)), 2):
+        oi, oj = outs[i], outs[j]
+        common = [y for y in oi if y in oj]
+        if model is M:
+            val = sum(min(oi[y], oj[y]) for y in common)
+            same = oi == oj
+        elif model is NM:
+            val = min(sum(oi[y] for y in common), sum(oj[y] for y in common))
+            same = oi.keys() == oj.keys()
+        else:
+            val = len(common)
+            same = oi.keys() == oj.keys()
+        pair = (words[i].text, words[j].text)
+        if same:
+            never.append(pair)
+        elif val > best:
+            best, pairs = val, [pair]
+        elif val == best:
+            pairs.append(pair)
+    return best, pairs, never, math.comb(len(words), 2)
+
+
+EQUIVALENCE_CASES = [(2, n, t) for n in range(2, 7) for t in range(n + 1)] + [
+    (3, 4, t) for t in range(3)
+]
+
+
+@pytest.mark.parametrize("q,n,t", EQUIVALENCE_CASES)
+def test_extremal_search_matches_all_pairs_reference(q, n, t):
+    for mode in ("exactly", "at_most"):
+        for model in (TR, M, NM):
+            res = extremal_search(n, q, t, mode, model)
+            got = (
+                res.n_max_confusable,
+                [(a.text, b.text) for a, b in res.pairs],
+                [(a.text, b.text) for a, b in res.indistinguishable],
+                res.searched_pairs,
+            )
+            assert got == all_pairs_reference(n, q, t, mode, model), (mode, model)
+            if t == 0:  # no pair shares an output: every pair attains count 0
+                assert got[0] == 0 and len(got[1]) == got[3]
+            if t == n and mode == "exactly":  # every word yields only the empty output
+                assert got[1] == [] and len(got[2]) == got[3]
+
+
+@pytest.mark.parametrize("n", [11, 12])
+@pytest.mark.parametrize("t", [1, 2])
+def test_optimal_counts_beyond_n10(n, t):
+    for mode in ("exactly", "at_most"):
+        res = extremal_search(n, 2, t, mode, NM, budget=2**31)
+        assert res.n_max_confusable + 1 == pattern_bound(n, t, mode), mode
+    res = extremal_search(n, 2, t, "exactly", M, budget=2**31)
+    best_adjacent = max(adjacent_singleton_channels(n, t, a) for a in range(1, n))
+    assert res.n_max_confusable == best_adjacent - 1
