@@ -38,7 +38,7 @@ from .patterns import (
     enumerate_deletion_vectors,
     enumerate_insertion_vectors,
 )
-from .words import Word
+from .words import Word, hamming_ball_volume
 
 
 @dataclass
@@ -302,14 +302,17 @@ def extremal_search(
     full output collections, possible when n < 2t+2) are excluded from the
     maximum and reported separately.  `searched_pairs` is C(q^n, 2), though
     only the pairs sharing an output are visited (see the module docstring
-    for the cost).  Refuses when q^(2n) times the pattern count exceeds
-    `budget`.  `jobs` is accepted and has no effect: the scan runs in one
-    process.
+    for the cost).  Refuses when q^n times the pattern count times the
+    supersequences of one output exceeds `budget`.  `jobs` is accepted and
+    has no effect: the scan runs in one process.
     """
     mode = check_mode(mode)
     if not 0 <= t <= n:
         raise ValueError(f"t={t} infeasible for n={n}")
-    cost = q ** (2 * n) * pattern_count(partial(_v2, n), t, mode)
+    # A length n-t word has sum_{i<=t} C(n, i)(q-1)^i supersequences of
+    # length n (Levenshtein), the Hamming ball volume; shorter outputs of
+    # an at-most search have fewer.
+    cost = q**n * pattern_count(partial(_v2, n), t, mode) * hamming_ball_volume(q, n, t)
     if cost > budget:
         raise ValueError(f"search cost {cost} exceeds budget {budget}")
 

@@ -262,16 +262,50 @@ def enumerate_insertion_vectors(n: int, q: int, t: int, mode: Mode = "exactly") 
                 yield _vector_from_gaps(n, gaps, symbols)
 
 
+def _sample_range(getrandbits, m: int, k: int) -> list[int]:
+    """random.Random.sample(range(m), k), in selection order, through the same
+    getrandbits calls.  Like the stdlib, it swap-removes from a pool of all m
+    values when that list is smaller than a k-entry set, and otherwise redraws
+    any value already taken."""
+    setsize = 21
+    if k > 5:
+        setsize += 4 ** math.ceil(math.log(k * 3, 4))
+    picked = []
+    if m <= setsize:
+        pool = list(range(m))
+        for top in range(m, m - k, -1):
+            bits = top.bit_length()
+            j = getrandbits(bits)
+            while j >= top:
+                j = getrandbits(bits)
+            picked.append(pool[j])
+            pool[j] = pool[top - 1]
+    else:
+        taken = set()
+        bits = m.bit_length()
+        for _ in range(k):
+            j = getrandbits(bits)
+            while j >= m or j in taken:
+                j = getrandbits(bits)
+            taken.add(j)
+            picked.append(j)
+    return picked
+
+
 class PatternSampler:
     """Exact uniform sampler over the error-pattern space for fixed budgets.
 
     The space is the product of all insertion vectors of total length <= t_ins
     with all disjoint (delete-positions, substitute-positions, replacement
     symbols) choices of at most t_del deletions and t_sub substitutions.  A
-    draw ranks by insertion length / edit counts using the exact integer
-    weights, then unranks positions with rng.sample, so there is no rejection
-    anywhere.  Draws consume the generator identically whether or not the
-    pattern is materialised against a concrete word.
+    draw picks the insertion length and the edit counts using the exact
+    integer weights, then picks positions uniformly without replacement, so
+    no pattern is drawn and rejected.  Every number is drawn through
+    rng.getrandbits in exactly the calls that random.Random.randrange and
+    random.Random.sample make, so a seeded generator gives the same patterns,
+    and is left in the same state, as a draw written with those two.  Draws
+    consume the generator identically whether or not the pattern is
+    materialised against a concrete word.
     """
 
     def __init__(self, n: int, q: int, t_sub: int, t_del: int, t_ins: int):
@@ -305,6 +339,8 @@ class PatternSampler:
                 self._edit_cum.append((acc, j, i))
         self.edit_space = acc
         self.pattern_space = self.insertion_space * self.edit_space
+        self._ins_bits = self.insertion_space.bit_length()
+        self._edit_bits = self.edit_space.bit_length()
 
     def draw(self, rng: random.Random):
         """Raw uniform draw, independent of the transmitted word.
@@ -315,24 +351,54 @@ class PatternSampler:
         original.
         """
         n, q = self.n, self.q
-        r = rng.randrange(self.insertion_space)
+        getrandbits = rng.getrandbits
+        # Each `while` loop below is randrange(m): getrandbits(m.bit_length())
+        # until the value is below m (one call even when m == 1).
+        m, bits = self.insertion_space, self._ins_bits
+        r = getrandbits(bits)
+        while r >= m:
+            r = getrandbits(bits)
         for cum, total in self._ins_cum:
             if r < cum:
                 break
-        # Uniform gap multiset of size `total` over the n+1 gaps, via the
-        # standard bijection with `total`-subsets of [0, n+total).
-        chosen = sorted(rng.sample(range(n + total), total)) if total else []
-        gaps = tuple(c - k for k, c in enumerate(chosen))
-        ins_symbols = tuple(rng.randrange(q) for _ in range(total))
+        if total:
+            # Uniform gap multiset of size `total` over the n+1 gaps, via the
+            # standard bijection with `total`-subsets of [0, n+total).
+            chosen = sorted(_sample_range(getrandbits, n + total, total))
+            gaps = tuple(c - k for k, c in enumerate(chosen))
+            ins = []
+            bits = q.bit_length()
+            for _ in range(total):
+                s = getrandbits(bits)
+                while s >= q:
+                    s = getrandbits(bits)
+                ins.append(s)
+            ins_symbols = tuple(ins)
+        else:
+            gaps = ins_symbols = ()
 
-        r = rng.randrange(self.edit_space)
+        m, bits = self.edit_space, self._edit_bits
+        r = getrandbits(bits)
+        while r >= m:
+            r = getrandbits(bits)
         for cum, n_del, n_sub in self._edit_cum:
             if r < cum:
                 break
-        picked = rng.sample(range(n), n_del + n_sub) if n_del + n_sub else []
-        sub_positions = tuple(sorted(picked[:n_sub]))
-        del_positions = tuple(sorted(picked[n_sub:]))
-        sub_offsets = tuple(rng.randrange(q - 1) for _ in range(n_sub))
+        if n_del + n_sub:
+            picked = _sample_range(getrandbits, n, n_del + n_sub)
+            sub_positions = tuple(sorted(picked[:n_sub]))
+            del_positions = tuple(sorted(picked[n_sub:]))
+        else:
+            sub_positions = del_positions = ()
+        offsets = []
+        m = q - 1
+        bits = m.bit_length()
+        for _ in range(n_sub):
+            s = getrandbits(bits)
+            while s >= m:
+                s = getrandbits(bits)
+            offsets.append(s)
+        sub_offsets = tuple(offsets)
         return gaps, ins_symbols, del_positions, sub_positions, sub_offsets
 
     def sample(self, rng: random.Random, x: Word | None = None) -> ErrorPattern:
@@ -346,7 +412,7 @@ class PatternSampler:
             raise ValueError(f"x has length {len(x)}, sampler built for {n}")
         entries = []
         for p, off in zip(sub_pos, sub_off):
-            orig = x.symbols[p]
+            orig = x[p]
             new = off + (1 if off >= orig else 0)
             entries.append((p + 1, new))
         mask = [0] * n

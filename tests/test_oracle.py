@@ -158,10 +158,20 @@ def test_budget_guard():
 
 def test_budget_refusal_counts_patterns_without_building_them():
     # C(24, 12) = 2704156 deletion patterns; the refusal must not enumerate them.
+    supersequences = sum(math.comb(24, i) for i in range(13))
     start = time.perf_counter()
-    with pytest.raises(ValueError, match=f"search cost {2**48 * 2704156} exceeds budget 100000000"):
+    with pytest.raises(
+        ValueError, match=f"search cost {2**24 * 2704156 * supersequences} exceeds budget 100000000"
+    ):
         extremal_search(24, 2, 12, "exactly", M)
     assert time.perf_counter() - start < 1.0
+
+
+def test_default_budget_admits_what_the_index_scan_runs_fast():
+    # 2^11 words * 55 outputs * 67 supersequences, about 7.5M; the all-pairs
+    # price of 2^22 * 55 refused this sub-second search.
+    res = extremal_search(11, 2, 2, "exactly", M)
+    assert res.n_max_confusable == max(adjacent_singleton_channels(11, 2, a) for a in range(1, 11)) - 1
 
 
 def test_larger_alphabet_extremal_matches_binary_maximum():
@@ -170,7 +180,7 @@ def test_larger_alphabet_extremal_matches_binary_maximum():
     # maximum would show as no attaining pair rather than as a lower count.
     cases = [(4, 3, 1, M)] + [
         (n, q, t, model)
-        for n, q in ((7, 3), (6, 4))
+        for n, q in ((7, 3), (8, 3), (6, 4))
         for t in (1, 2)
         for model in (M, NM)
     ]

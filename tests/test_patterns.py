@@ -232,6 +232,49 @@ def test_sample_and_sample_output_agree():
             assert apply_pattern(x, p).text == out
 
 
+def _reference_draw(sampler, rng):
+    # PatternSampler.draw as written with randrange and sample; draw must
+    # make the same generator calls, so seeded streams never drift.
+    n, q = sampler.n, sampler.q
+    r = rng.randrange(sampler.insertion_space)
+    total = next(total for cum, total in sampler._ins_cum if r < cum)
+    chosen = sorted(rng.sample(range(n + total), total)) if total else []
+    gaps = tuple(c - k for k, c in enumerate(chosen))
+    ins_symbols = tuple(rng.randrange(q) for _ in range(total))
+    r = rng.randrange(sampler.edit_space)
+    n_del, n_sub = next((d, s) for cum, d, s in sampler._edit_cum if r < cum)
+    picked = rng.sample(range(n), n_del + n_sub) if n_del + n_sub else []
+    sub_positions = tuple(sorted(picked[:n_sub]))
+    del_positions = tuple(sorted(picked[n_sub:]))
+    sub_offsets = tuple(rng.randrange(q - 1) for _ in range(n_sub))
+    return gaps, ins_symbols, del_positions, sub_positions, sub_offsets
+
+
+@pytest.mark.parametrize(
+    "n, q, ts, td, ti",
+    [
+        (20, 4, 1, 1, 1),  # sample's pool path: n + total <= 21
+        (21, 4, 1, 1, 1),  # two edits from 21 positions: the pool path's edge
+        (20, 4, 1, 1, 2),  # two gaps from 22: the set path's edge
+        (5, 4, 1, 1, 2),
+        (100, 4, 1, 1, 1),  # sample's set path
+        (200, 4, 1, 1, 1),
+        (40, 4, 4, 4, 6),  # more than 5 picks: pool path up to 85
+        (100, 4, 4, 4, 1),  # more than 5 picks, set path
+        (10, 4, 0, 0, 0),  # both spaces hold one pattern
+        (12, 2, 2, 1, 1),  # one replacement symbol: offsets range over [0, 1)
+        (30, 13, 2, 1, 2),
+    ],
+)
+def test_draw_consumes_generator_like_randrange_and_sample(n, q, ts, td, ti):
+    sampler = PatternSampler(n, q, ts, td, ti)
+    rng = random.Random(f"draw:{n}:{q}")
+    ref = random.Random(f"draw:{n}:{q}")
+    for _ in range(300):
+        assert sampler.draw(rng) == _reference_draw(sampler, ref)
+        assert rng.getstate() == ref.getstate()
+
+
 @settings(max_examples=60)
 @given(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2), st.integers(0, 2**30))
 def test_applied_pattern_length_invariant(ts, td, ti, seed):
