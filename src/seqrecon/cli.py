@@ -23,7 +23,7 @@ from . import bounds as _bounds
 from .channels import ChannelModel
 from .codebook import CodeParams, code_size_lower_bound, excluded_count, third_symbol_floor, top_two_threshold, is_codeword
 from .decoder import DecoderConfig, StreamDecoder
-from .oracle import confusable_max, extremal_search
+from .oracle import DEFAULT_BUDGET, confusable_max, extremal_search
 from .simulate import DEFAULT_SEED, SimSpec, run_sweep
 from .words import Word
 
@@ -259,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     x.add_argument("--mode", choices=("exactly", "at-most", "at_most"), default="exactly")
     x.add_argument("--model", required=True)
     x.add_argument("--canonical", action="store_true", help="dedupe pairs up to symbol relabelling")
-    x.add_argument("--budget", type=int, default=100_000_000)
+    x.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     x.add_argument("--jobs", type=int, default=_env_int("SEQRECON_JOBS", 1),
                    help="accepted for compatibility; the search runs in one process")
     x.set_defaults(run=_cmd_extremal)

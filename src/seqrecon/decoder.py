@@ -20,7 +20,9 @@ a symbol the new output holds too many of to displace any of them, and marks
 the anchor triples of every slot whose stored counts changed; the certificate
 scan checks only those, since the check reads stored counts alone.  The
 slots and anchor triples of each q are tabulated once per process
-(_slot_table).
+(_slot_table).  The merge that rebuilds the word makes four fixed tests a
+round, one per class of symbol, of which at most one can match
+(reconstruction_steps); its tables are built once per anchor triple.
 """
 
 from __future__ import annotations
@@ -295,48 +297,64 @@ def find_certificate(frontier: Frontier, cfg: DecoderConfig) -> Certificate | No
     return None
 
 
+@functools.lru_cache(maxsize=256)
+def _residue_tables(q: int, s1: int, s2: int, s3: int) -> tuple:
+    """certificate_residues' six str.translate tables for one anchor triple."""
+    raw = alphabet(q)
+    a, b, c = raw[s1], raw[s2], raw[s3]
+    rest = raw.translate(str.maketrans("", "", a + b + c))
+    return tuple(str.maketrans("", "", d) for d in (a + c, a + b, b + c, rest + a, rest + b, rest + c))
+
+
 def certificate_residues(cert: Certificate, cfg: DecoderConfig) -> list[str]:
     """The six reduced words: y1..y3 with their two modified symbols removed,
     y4..y6 restricted to their two unmodified anchor symbols."""
-    s1, s2, s3 = cert.anchors
-    codes = [ord(c) for c in alphabet(cfg.q)]
+    return [y.translate(t) for y, t in zip(cert.words, _residue_tables(cfg.q, *cert.anchors))]
 
-    def drop(*symbols):
-        return dict.fromkeys([codes[s] for s in symbols])
 
-    def keep(a, b):
-        return drop(*(s for s in range(cfg.q) if s != a and s != b))
-
-    tables = (drop(s1, s3), drop(s1, s2), drop(s2, s3), keep(s2, s3), keep(s1, s3), keep(s1, s2))
-    return [y.translate(table) for y, table in zip(cert.words, tables)]
+def _merge(residues: list[str], n: int) -> tuple[str, bool]:
+    """The merge of reconstruction_steps: (emitted symbols, whether every
+    reduced word was consumed).  Reduced word i, counted from 0, ends in the
+    sentinel chr(i), outside every alphabet, so a consumed word never matches."""
+    ends = "\0\1\2\3\4\5"
+    w1, w2, w3, w4, w5, w6 = [iter(z + end) for z, end in zip(residues, ends)]
+    h1, h2, h3, h4, h5, h6 = map(next, (w1, w2, w3, w4, w5, w6))
+    out = []
+    for _ in range(n):
+        if h1 == h2 == h3:
+            out.append(h1)
+            h1, h2, h3 = next(w1), next(w2), next(w3)
+        elif h3 == h5 == h6:
+            out.append(h3)
+            h3, h5, h6 = next(w3), next(w5), next(w6)
+        elif h1 == h4 == h6:
+            out.append(h1)
+            h1, h4, h6 = next(w1), next(w4), next(w6)
+        elif h2 == h4 == h5:
+            out.append(h2)
+            h2, h4, h5 = next(w2), next(w4), next(w5)
+        else:
+            break
+    return "".join(out), h1 + h2 + h3 + h4 + h5 + h6 == ends
 
 
 def reconstruction_steps(residues: list[str], n: int) -> Iterator[tuple]:
     """Merge rounds of the six reduced words from certificate_residues().
 
-    Each round finds the unique symbol heading exactly three of the reduced
-    words, emits it, and pops those three heads; yields (symbol, offsets)
-    after every round, where offsets[i] is how much of reduced word i has
-    been consumed.  Stops silently when no unique such symbol exists or more
-    than n symbols would be emitted; reconstruct() turns that into the empty
-    result.
+    Symbols outside the anchor triple lie in reduced words 1, 2, 3; s1 in 3,
+    5, 6; s2 in 1, 4, 6; s3 in 2, 4, 5.  Each round emits the symbol heading
+    all three words of its class and pops those heads.  Any two classes
+    share a word, whose head is in one class only, so at most one class
+    matches: its symbol is the unique one heading exactly three words.
+    Yields (symbol, offsets) after every round, where offsets[i] is how much
+    of reduced word i has been consumed.  Stops silently when no class
+    matches or after n rounds.  The rounds replay _merge, reconstruct()'s
+    path: a round pops every word its symbol heads.
     """
-    lens = [len(z) for z in residues]
-    ptr = [0] * 6
-    emitted = 0
-    while ptr != lens:
-        heads: dict = {}
-        for i in range(6):
-            if ptr[i] < lens[i]:
-                heads.setdefault(residues[i][ptr[i]], []).append(i)
-        triples = [(sym, idxs) for sym, idxs in heads.items() if len(idxs) == 3]
-        if len(triples) != 1 or emitted >= n:
-            return
-        sym, idxs = triples[0]
-        for i in idxs:
-            ptr[i] += 1
-        emitted += 1
-        yield sym, tuple(ptr)
+    offsets = (0,) * 6
+    for sym in _merge(residues, n)[0]:
+        offsets = tuple([p + z.startswith(sym, p) for p, z in zip(offsets, residues)])
+        yield sym, offsets
 
 
 def reconstruct(cert: Certificate, cfg: DecoderConfig) -> str:
@@ -345,14 +363,8 @@ def reconstruct(cert: Certificate, cfg: DecoderConfig) -> str:
     Returns "" when the merge invariant is violated (which a certificate from
     honest channel outputs never does).
     """
-    residues = certificate_residues(cert, cfg)
-    out = []
-    offsets = None
-    for sym, offsets in reconstruction_steps(residues, cfg.n):
-        out.append(sym)
-    if len(out) != cfg.n or offsets != tuple(map(len, residues)):
-        return ""
-    return "".join(out)
+    word, consumed = _merge(certificate_residues(cert, cfg), cfg.n)
+    return word if consumed and len(word) == cfg.n else ""
 
 
 class StreamDecoder:

@@ -40,6 +40,8 @@ from .patterns import (
 )
 from .words import Word, hamming_ball_volume
 
+DEFAULT_BUDGET = 100_000_000  # extremal_search's default search cost cap
+
 
 @dataclass
 class ConfusabilityWitness:
@@ -293,7 +295,7 @@ def extremal_search(
     mode: str,
     model: ChannelModel,
     canonical: bool = False,
-    budget: int = 100_000_000,
+    budget: int = DEFAULT_BUDGET,
     jobs: int = 1,
 ) -> ExtremalResult:
     """Exhaustive search for the word pairs hardest to distinguish.

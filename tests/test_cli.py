@@ -1,9 +1,11 @@
+import inspect
 import json
 import random
 
 import pytest
 
-from seqrecon.cli import main
+from seqrecon.cli import build_parser, main
+from seqrecon.oracle import extremal_search
 from seqrecon.patterns import PatternSampler, apply_pattern
 from seqrecon.words import Word
 
@@ -72,6 +74,13 @@ def test_extremal_subcommand(capsys):
     record = json.loads(out)
     assert record["n_max_confusable"] == 4
     assert ["000100", "001000"] in record["pairs"]
+
+
+def test_extremal_budget_default_is_the_search_default():
+    args = build_parser().parse_args(
+        ["extremal", "--n", "4", "--q", "2", "--t", "1", "--model", "non-multiset"]
+    )
+    assert args.budget == inspect.signature(extremal_search).parameters["budget"].default
 
 
 def test_code_subcommand(capsys):

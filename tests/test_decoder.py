@@ -472,3 +472,137 @@ def test_las_vegas_over_whole_pattern_space(n, t_sub, t_del, t_ins):
             decoded += got == x
     if (n, t_sub, t_del, t_ins) == (8, 0, 1, 2):
         assert decoded > 0
+
+
+def _reference_steps(residues, n):
+    """The merge as a per-round heads dict: emit the unique symbol heading
+    exactly three unexhausted reduced words."""
+    lens = [len(z) for z in residues]
+    ptr = [0] * 6
+    emitted = 0
+    while ptr != lens:
+        heads: dict = {}
+        for i in range(6):
+            if ptr[i] < lens[i]:
+                heads.setdefault(residues[i][ptr[i]], []).append(i)
+        triples = [(sym, idxs) for sym, idxs in heads.items() if len(idxs) == 3]
+        if len(triples) != 1 or emitted >= n:
+            return
+        sym, idxs = triples[0]
+        for i in idxs:
+            ptr[i] += 1
+        emitted += 1
+        yield sym, tuple(ptr)
+
+
+def _reference_reconstruct(cert, cfg):
+    residues = certificate_residues(cert, cfg)
+    steps = list(_reference_steps(residues, cfg.n))
+    if len(steps) != cfg.n or steps[-1][1] != tuple(map(len, residues)):
+        return ""
+    return "".join(sym for sym, _ in steps)
+
+
+def _corrupt(rng, word, symbols):
+    """One substitution, deletion, insertion or shuffle of a raw word."""
+    edit = rng.choice(("sub", "del", "ins", "shuffle"))
+    p = rng.randrange(len(word) + 1)
+    if edit == "ins":
+        return word[:p] + rng.choice(symbols) + word[p:]
+    if edit == "shuffle":
+        return "".join(rng.sample(word, len(word)))
+    if p == len(word):
+        return word
+    return word[:p] + (rng.choice(symbols) if edit == "sub" else "") + word[p + 1:]
+
+
+def _honest_certificate(q, n, budgets, seed):
+    rng = random.Random(f"merge:{q}:{budgets}:{seed}")
+    x = "".join(rng.choices(alphabet(q), k=n))
+    sampler = PatternSampler(n, q, *budgets)
+    dec = StreamDecoder(DecoderConfig(q, n, *budgets))
+    while dec.result is None:
+        dec.push(sampler.sample_output(rng, x))
+    assert dec.result == x
+    return dec.certificate, rng
+
+
+@pytest.mark.parametrize(
+    "q, budgets", [(4, (1, 1, 1)), (6, (1, 1, 1)), (8, (1, 1, 1)), (13, (0, 1, 1)), (13, (0, 0, 2))]
+)
+def test_merge_matches_heads_dict_rule(q, budgets):
+    # Honest certificates and corrupted copies (one to three of the six words
+    # edited), merged for lengths n-2..n+1: reconstruct and every round of
+    # reconstruction_steps agree with the heads-dict rule.  q=13 holds the
+    # raw symbols ":", ";" and "<".
+    n = 14
+    symbols = alphabet(q)
+    outcomes = set()
+    for seed in range(3):
+        cert, rng = _honest_certificate(q, n, budgets, seed)
+        variants = [cert]
+        for _ in range(30):
+            words = list(cert.words)
+            for i in rng.sample(range(6), rng.randint(1, 3)):
+                words[i] = _corrupt(rng, words[i], symbols)
+            variants.append(Certificate(cert.anchors, tuple(words)))
+        for variant in variants:
+            for length in range(n - 2, n + 2):
+                cfg = DecoderConfig(q, length, 0, 0, 1)
+                residues = certificate_residues(variant, cfg)
+                expected = list(_reference_steps(residues, length))
+                assert list(reconstruction_steps(residues, length)) == expected
+                got = reconstruct(variant, cfg)
+                assert got == _reference_reconstruct(variant, cfg)
+                outcomes.add(bool(got))
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize(
+    "residues, n",
+    [
+        (["", "", "", "", "", ""], 3),  # nothing to merge
+        (["", "3", "", "", "", ""], 1),  # one symbol heads no class
+        (["", "33", "3", "", "", ""], 2),  # an empty word in the outside class
+        (["1", "2", "0", "12", "02", "01"], 5),  # all exhausted after three rounds
+        (["31", "32", "30", "12", "02", "01"], 4),  # exactly n rounds drain every word
+        (["31", "32", "30", "12", "02", "01"], 3),  # stops at n with words left over
+    ],
+)
+def test_merge_edge_cases_match_heads_dict_rule(residues, n):
+    assert list(reconstruction_steps(residues, n)) == list(_reference_steps(residues, n))
+
+
+def _certificate_alphabets(anchors, q):
+    """The symbols each of the six reduced words may hold."""
+    s1, s2, s3 = anchors
+    outside = [s for s in range(q) if s not in anchors]
+    return [outside + [s2], outside + [s3], outside + [s1], [s2, s3], [s1, s3], [s1, s2]]
+
+
+@st.composite
+def _merge_inputs(draw):
+    q = draw(st.sampled_from([4, 5, 13]))
+    anchors = tuple(draw(st.permutations(range(q)))[:3])
+    raw = alphabet(q)
+    x = draw(st.text(raw, min_size=1, max_size=12))
+    residues = certificate_residues(Certificate(anchors, (x,) * 6), DecoderConfig(q, 1, 0, 0, 1))
+    alphabets = _certificate_alphabets(anchors, q)
+    for i in draw(st.sets(st.integers(0, 5))):
+        residues[i] = draw(st.text("".join(raw[s] for s in alphabets[i]), max_size=12))
+    return q, anchors, residues, draw(st.just(len(x)) | st.integers(max(1, len(x) - 2), len(x) + 2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_merge_inputs())
+def test_merge_is_las_vegas(case):
+    # Over arbitrary reduced words: a nonempty merge has length n and gives
+    # back the six reduced words it came from.
+    q, anchors, residues, n = case
+    cfg = DecoderConfig(q, n, 0, 0, 1)
+    cert = Certificate(anchors, tuple(residues))
+    assert certificate_residues(cert, cfg) == residues
+    got = reconstruct(cert, cfg)
+    if got:
+        assert len(got) == n
+        assert certificate_residues(Certificate(anchors, (got,) * 6), cfg) == residues
