@@ -9,10 +9,9 @@ set of distinct outputs (non-multiset model).
 from __future__ import annotations
 
 import enum
+import math
 from collections import Counter
-from functools import partial
 
-from .bounds import _v2
 from .patterns import (
     PatternSampler,
     apply_deletion,
@@ -22,7 +21,9 @@ from .patterns import (
     enumerate_deletion_vectors,
     enumerate_insertion_vectors,
 )
-from .words import Word, insertion_ball_volume
+from .words import Word
+
+ENUMERATION_LIMIT = 10_000_000  # most patterns enumerate_patterns builds on one word
 
 
 class ChannelModel(enum.Enum):
@@ -101,10 +102,36 @@ class OutputCollection:
         return cls(obj["kind"], counts)
 
 
-def pattern_count(volume, t: int, mode: str) -> int:
-    """Patterns of size exactly t, or at most t, where volume(r) counts those
-    of size at most r: the sphere of radius t is the ball minus that of t - 1."""
-    return volume(t) - (volume(t - 1) if mode == "exactly" and t else 0)
+def pattern_space_size(n: int, q: int, t: int, mode: str, error_type: str = "deletion") -> int:
+    """Deletion or insertion patterns of size exactly t, or at most t, on a
+    q-ary word of length n: C(n, i) deletion and q^i * C(n+i, i) insertion
+    patterns of size i."""
+    mode = check_mode(mode)
+    if error_type == "deletion":
+        if not 0 <= t <= n:
+            raise ValueError(f"deletion budget t={t} infeasible for length {n}")
+        size = lambda i: math.comb(n, i)
+    elif error_type == "insertion":
+        if t < 0:
+            raise ValueError("insertion budget must be non-negative")
+        size = lambda i: q**i * math.comb(n + i, i)
+    else:
+        raise ValueError(f"unknown error type {error_type!r}")
+    return sum(map(size, range(t + 1) if mode == "at_most" else (t,)))
+
+
+def enumerate_patterns(x: Word, t: int, mode: str, error_type: str = "deletion"):
+    """Lazily yield (vector, output) for every pattern of the given type and
+    budget on x.  Refuses, before building any, when there are more than
+    ENUMERATION_LIMIT."""
+    count = pattern_space_size(len(x), x.q, t, mode, error_type)
+    if count > ENUMERATION_LIMIT:
+        raise ValueError(f"{count} patterns exceed enumeration limit {ENUMERATION_LIMIT}")
+    if error_type == "deletion":
+        vectors, apply = enumerate_deletion_vectors(len(x), t, mode), apply_deletion
+    else:
+        vectors, apply = enumerate_insertion_vectors(len(x), x.q, t, mode), apply_insertion
+    return ((v, apply(x, v)) for v in vectors)
 
 
 def transmit_all(
@@ -113,32 +140,15 @@ def transmit_all(
     mode: str,
     model: ChannelModel,
     error_type: str = "deletion",
-    limit: int = 10_000_000,
 ) -> OutputCollection:
     """Send x through one channel per error pattern of the given type and budget.
 
     The multiset model keys multiplicities by the number of patterns that
     produce each output; the other two models collapse to the set of distinct
-    outputs.  Enumeration refuses when the pattern count exceeds `limit`.
+    outputs.  Refuses more than ENUMERATION_LIMIT patterns.
     """
-    mode = check_mode(mode)
-    n = len(x)
-    if error_type == "deletion":
-        if not 0 <= t <= n:
-            raise ValueError(f"deletion budget t={t} infeasible for length {n}")
-        volume = partial(_v2, n)
-        outputs = (apply_deletion(x, d) for d in enumerate_deletion_vectors(n, t, mode))
-    elif error_type == "insertion":
-        if t < 0:
-            raise ValueError("insertion budget must be non-negative")
-        volume = partial(insertion_ball_volume, x.q, n)
-        outputs = (apply_insertion(x, v) for v in enumerate_insertion_vectors(n, x.q, t, mode))
-    else:
-        raise ValueError(f"unknown error type {error_type!r}")
-    count = pattern_count(volume, t, mode)
-    if count > limit:
-        raise ValueError(f"{count} patterns exceed enumeration limit {limit}")
-    return OutputCollection(model.collection_kind, dict(Counter(outputs)), distinct_patterns=count)
+    counts = Counter(y for _, y in enumerate_patterns(x, t, mode, error_type))
+    return OutputCollection(model.collection_kind, dict(counts), distinct_patterns=counts.total())
 
 
 def transmit_random(

@@ -52,57 +52,51 @@ def _infer_q(*texts: str) -> int:
 
 
 def _emit(record: dict, fmt: str, principal: str) -> None:
-    if fmt == "plain":
-        print(record[principal])
-    elif fmt == "csv":
-        flat = {k: v for k, v in record.items() if not isinstance(v, (dict, list))}
-        buf = io.StringIO()
-        writer = _csv.DictWriter(buf, fieldnames=list(flat))
-        writer.writeheader()
-        writer.writerow(flat)
-        sys.stdout.write(buf.getvalue())
-    else:
-        print(json.dumps(record, sort_keys=True, default=str))
+    # Exact results may exceed the int-to-text digit limit (4300 by default;
+    # absent before Python 3.10.7); lift it for printing only.
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        if fmt == "plain":
+            print(record[principal])
+        elif fmt == "csv":
+            flat = {k: v for k, v in record.items() if not isinstance(v, (dict, list))}
+            buf = io.StringIO()
+            writer = _csv.DictWriter(buf, fieldnames=list(flat))
+            writer.writeheader()
+            writer.writerow(flat)
+            sys.stdout.write(buf.getvalue())
+        else:
+            print(json.dumps(record, sort_keys=True, default=str))
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
+# formula -> (function, names of the arguments it takes, in order)
+_BOUNDS = {
+    "levenshtein-deletion": (_bounds.levenshtein_deletion_bound, ("n", "t")),
+    "levenshtein-insertion": (_bounds.levenshtein_insertion_bound, ("n", "q", "t")),
+    "pattern": (_bounds.pattern_bound, ("n", "t", "mode")),
+    "multiset-t1": (_bounds.multiset_t1_threshold, ("n",)),
+    "adjacent": (_bounds.adjacent_singleton_channels, ("n", "t", "a")),
+    "cumulative-half": (_bounds.cumulative_half_bound, ("n", "t")),
+    "weight-gap": (_bounds.weight_gap_confusable, ("n", "w1", "b", "t")),
+    "binom-ratio": (_bounds.binom_ratio, ("n", "t")),
+    "binom-ratio-limit": (_bounds.binom_ratio_limit, ("t",)),
+}
 
 
 def _cmd_bounds(args) -> tuple[dict, str]:
-    f = args.formula
-    if f == "levenshtein-deletion":
-        params = {"n": args.n, "t": args.t}
-        value = _bounds.levenshtein_deletion_bound(args.n, args.t)
-    elif f == "levenshtein-insertion":
-        params = {"n": args.n, "q": args.q, "t": args.t}
-        value = _bounds.levenshtein_insertion_bound(args.n, args.q, args.t)
-    elif f == "pattern":
-        params = {"n": args.n, "t": args.t, "mode": args.mode}
-        value = _bounds.pattern_bound(args.n, args.t, args.mode)
-    elif f == "multiset-t1":
-        params = {"n": args.n}
-        value = _bounds.multiset_t1_threshold(args.n)
-    elif f == "adjacent":
-        params = {"n": args.n, "t": args.t, "a": args.a}
-        value = _bounds.adjacent_singleton_channels(args.n, args.t, args.a)
-    elif f == "cumulative-half":
-        params = {"n": args.n, "t": args.t}
-        value = _bounds.cumulative_half_bound(args.n, args.t)
-    elif f == "weight-gap":
-        params = {"n": args.n, "w1": args.w1, "b": args.b, "t": args.t}
-        value = _bounds.weight_gap_confusable(args.n, args.w1, args.b, args.t)
-    elif f == "binom-ratio":
-        params = {"n": args.n, "t": args.t}
-        ratio = _bounds.binom_ratio(args.n, args.t)
-        record = {
-            "formula": f,
-            "params": params,
-            "value": float(ratio),
-            "exact": str(ratio),
-            "hypothesis_ok": True,
-        }
-        return record, "value"
-    else:  # binom-ratio-limit
-        params = {"t": args.t}
-        value = _bounds.binom_ratio_limit(args.t)
-    return {"formula": f, "params": params, "value": value, "hypothesis_ok": True}, "value"
+    function, names = _BOUNDS[args.formula]
+    params = {name: getattr(args, name) for name in names}
+    value = function(*params.values())
+    record = {"formula": args.formula, "params": params, "value": value}
+    if isinstance(value, Fraction):  # binom-ratio: a float value plus the exact fraction
+        record["value"], record["exact"] = float(value), str(value)
+    record["hypothesis_ok"] = True
+    return record, "value"
 
 
 def _cmd_expect(args) -> tuple[dict, str]:
@@ -217,14 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     b = sub.add_parser("bounds", help="evaluate a closed-form channel bound")
-    b.add_argument(
-        "formula",
-        choices=(
-            "levenshtein-deletion", "levenshtein-insertion", "pattern",
-            "multiset-t1", "adjacent", "cumulative-half", "weight-gap",
-            "binom-ratio", "binom-ratio-limit",
-        ),
-    )
+    b.add_argument("formula", choices=tuple(_BOUNDS))
     b.add_argument("--n", type=int, default=0)
     b.add_argument("--q", type=int, default=2)
     b.add_argument("--t", type=int, default=1)

@@ -25,19 +25,10 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import partial
 from operator import itemgetter
 
-from .bounds import _v2
-from .channels import ChannelModel, OutputCollection, pattern_count
-from .patterns import (
-    ErrorPattern,
-    apply_deletion,
-    apply_insertion,
-    check_mode,
-    enumerate_deletion_vectors,
-    enumerate_insertion_vectors,
-)
+from .channels import ChannelModel, OutputCollection, enumerate_patterns, pattern_space_size
+from .patterns import ErrorPattern, check_mode
 from .words import Word, hamming_ball_volume
 
 DEFAULT_BUDGET = 100_000_000  # extremal_search's default search cost cap
@@ -64,33 +55,10 @@ class ConfusabilityReport:
     witness: ConfusabilityWitness | None = None
 
 
-def _pattern_outputs(x: Word, t: int, mode: str, error_type: str):
-    """Map output Word -> list of patterns of the given type producing it."""
-    by_output: dict[Word, list] = {}
-    if error_type == "deletion":
-        if not 0 <= t <= len(x):
-            raise ValueError(f"deletion budget t={t} infeasible for length {len(x)}")
-        for d in enumerate_deletion_vectors(len(x), t, mode):
-            by_output.setdefault(apply_deletion(x, d), []).append(d)
-    elif error_type == "insertion":
-        if t < 0:
-            raise ValueError("insertion budget must be non-negative")
-        for v in enumerate_insertion_vectors(len(x), x.q, t, mode):
-            by_output.setdefault(apply_insertion(x, v), []).append(v)
-    else:
-        raise ValueError(f"unknown error type {error_type!r}")
-    return by_output
-
-
 def _as_patterns(raw_list, error_type: str) -> list[ErrorPattern]:
     if error_type == "deletion":
         return [ErrorPattern.of_deletion(d) for d in raw_list]
     return [ErrorPattern.of_insertion(v) for v in raw_list]
-
-
-def _nonmultiset_nmax(common: list[Word], mult_x: dict, mult_xp: dict) -> int:
-    """Maximum feasible N, realised by the whole common-output set."""
-    return min(sum(mult_x[y] for y in common), sum(mult_xp[y] for y in common))
 
 
 def confusable_max(
@@ -106,8 +74,11 @@ def confusable_max(
     mode = check_mode(mode)
     if len(x) != len(x_prime) or x.q != x_prime.q:
         raise ValueError("words must share length and alphabet")
-    out_x = _pattern_outputs(x, t, mode, error_type)
-    out_xp = _pattern_outputs(x_prime, t, mode, error_type)
+    # Each word's outputs, mapped to the patterns producing them.
+    out_x, out_xp = {}, {}
+    for word, by_output in ((x, out_x), (x_prime, out_xp)):
+        for v, y in enumerate_patterns(word, t, mode, error_type):
+            by_output.setdefault(y, []).append(v)
     mult_x = {y: len(ps) for y, ps in out_x.items()}
     mult_xp = {y: len(ps) for y, ps in out_xp.items()}
     common = [y for y in mult_x if y in mult_xp]
@@ -130,7 +101,8 @@ def confusable_max(
                 counts[y] = take
             witness = _make_witness(px, pxp, error_type, model, counts)
     elif model is ChannelModel.NON_MULTISET:
-        n_max = _nonmultiset_nmax(common, mult_x, mult_xp)
+        # The whole common-output set realises the maximum feasible N.
+        n_max = min(sum(mult_x[y] for y in common), sum(mult_xp[y] for y in common))
         if want_witness and n_max:
             px = _cover_with(out_x, common, n_max)
             pxp = _cover_with(out_xp, common, n_max)
@@ -154,11 +126,10 @@ def _cover_with(by_output, subset, n: int) -> list:
 
 
 def _make_witness(px, pxp, error_type, model, counts) -> ConfusabilityWitness:
-    kind = "multiset" if model is ChannelModel.MULTISET else "set"
     return ConfusabilityWitness(
         _as_patterns(px, error_type),
         _as_patterns(pxp, error_type),
-        OutputCollection(kind, counts),
+        OutputCollection(model.collection_kind, counts),
     )
 
 
@@ -314,7 +285,7 @@ def extremal_search(
     # A length n-t word has sum_{i<=t} C(n, i)(q-1)^i supersequences of
     # length n (Levenshtein), the Hamming ball volume; shorter outputs of
     # an at-most search have fewer.
-    cost = q**n * pattern_count(partial(_v2, n), t, mode) * hamming_ball_volume(q, n, t)
+    cost = q**n * pattern_space_size(n, q, t, mode) * hamming_ball_volume(q, n, t)
     if cost > budget:
         raise ValueError(f"search cost {cost} exceeds budget {budget}")
 

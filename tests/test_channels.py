@@ -83,10 +83,15 @@ def test_insertion_multiset_of_000():
 
 def test_transmit_all_refuses_oversized_enumeration():
     with pytest.raises(ValueError):
-        transmit_all(W("0" * 30, 4), 8, "exactly", ChannelModel.MULTISET,
-                     error_type="insertion", limit=10_000)
+        transmit_all(W("0" * 30, 4), 8, "exactly", ChannelModel.MULTISET, error_type="insertion")
     with pytest.raises(ValueError):
         transmit_all(W("010"), 5, "exactly", ChannelModel.MULTISET)
+
+
+def test_transmit_all_refusal_states_the_count():
+    # C(40, 8) = 76,904,685 deletion patterns; the cap is 10,000,000.
+    with pytest.raises(ValueError, match="^76904685 patterns exceed enumeration limit 10000000$"):
+        transmit_all(W("01" * 20), 8, "exactly", ChannelModel.MULTISET)
 
 
 def test_transmit_random_zero_budget_single_channel():

@@ -1,10 +1,14 @@
 import inspect
 import json
 import random
+import sys
+import time
 
 import pytest
 
+from seqrecon.bounds import pattern_bound
 from seqrecon.cli import build_parser, main
+from seqrecon.codebook import CodeParams, code_size_lower_bound
 from seqrecon.oracle import extremal_search
 from seqrecon.patterns import PatternSampler, apply_pattern
 from seqrecon.words import Word
@@ -64,6 +68,20 @@ def test_distinguish_witness_included(capsys):
     record = json.loads(out)
     assert record["n_max_confusable"] == 9
     assert len(record["witness"]["patterns_x"]) == 9
+
+
+def test_distinguish_refuses_before_enumerating(capsys):
+    # C(34, 15) = 1,855,967,520 deletion patterns per word.
+    start = time.perf_counter()
+    code, out = run_cli(
+        capsys, "distinguish", "--x", "01" * 17, "--xp", "10" * 17,
+        "--t", "15", "--model", "multiset",
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    assert out == (
+        '{"error": "1855967520 patterns exceed enumeration limit 10000000", "hypothesis_ok": false}\n'
+    )
 
 
 def test_extremal_subcommand(capsys):
@@ -168,6 +186,143 @@ def test_binom_ratio_reports_exact_fraction(capsys):
     record = json.loads(out)
     assert record["value"] == 2.25
     assert record["exact"] == "9/4"
+
+
+# One passing and one out-of-domain argument list per formula.
+BOUNDS_ARGS = {
+    "levenshtein-deletion": (["--n", "10", "--t", "2"], ["--n", "3", "--t", "2"]),
+    "levenshtein-insertion": (["--n", "6", "--q", "3", "--t", "2"], ["--n", "6", "--t", "0"]),
+    "pattern": (["--n", "9", "--t", "2", "--mode", "at-most"], ["--n", "4", "--t", "2"]),
+    "multiset-t1": (["--n", "7"], ["--n", "1"]),
+    "adjacent": (["--n", "6", "--t", "2", "--a", "2"], ["--n", "6", "--t", "2", "--a", "6"]),
+    "cumulative-half": (["--n", "10", "--t", "3"], ["--n", "9", "--t", "2"]),
+    "weight-gap": (["--n", "10", "--w1", "4", "--b", "2", "--t", "3"],
+                   ["--n", "10", "--w1", "4", "--b", "4", "--t", "3"]),
+    "binom-ratio": (["--n", "20", "--t", "2"], ["--n", "20", "--t", "3"]),
+    "binom-ratio-limit": (["--t", "6"], ["--t", "5"]),
+}
+BOUNDS_STDOUT = {
+    ("levenshtein-deletion", "json"):
+        '{"formula": "levenshtein-deletion", "hypothesis_ok": true, "params": {"n": 10, "t": 2}, "value": 17}\n',
+    ("levenshtein-deletion", "plain"):
+        '17\n',
+    ("levenshtein-deletion", "csv"):
+        'formula,value,hypothesis_ok\r\nlevenshtein-deletion,17,True\r\n',
+    ("levenshtein-deletion", "error"):
+        '{"error": "requires 1 <= t <= n-2, got t=2, n=3", "hypothesis_ok": false}\n',
+    ("levenshtein-insertion", "json"):
+        '{"formula": "levenshtein-insertion", "hypothesis_ok": true, "params": {"n": 6, "q": 3, "t": 2}, "value": 33}\n',
+    ("levenshtein-insertion", "plain"):
+        '33\n',
+    ("levenshtein-insertion", "csv"):
+        'formula,value,hypothesis_ok\r\nlevenshtein-insertion,33,True\r\n',
+    ("levenshtein-insertion", "error"):
+        '{"error": "requires t >= 1, got 0", "hypothesis_ok": false}\n',
+    ("pattern", "json"):
+        '{"formula": "pattern", "hypothesis_ok": true, "params": {"mode": "at-most", "n": 9, "t": 2}, "value": 36}\n',
+    ("pattern", "plain"):
+        '36\n',
+    ("pattern", "csv"):
+        'formula,value,hypothesis_ok\r\npattern,36,True\r\n',
+    ("pattern", "error"):
+        '{"error": "requires t >= 1 and n >= 2t+2, got t=2, n=4", "hypothesis_ok": false}\n',
+    ("multiset-t1", "json"):
+        '{"formula": "multiset-t1", "hypothesis_ok": true, "params": {"n": 7}, "value": 4}\n',
+    ("multiset-t1", "plain"):
+        '4\n',
+    ("multiset-t1", "csv"):
+        'formula,value,hypothesis_ok\r\nmultiset-t1,4,True\r\n',
+    ("multiset-t1", "error"):
+        '{"error": "requires n >= 2, got 1", "hypothesis_ok": false}\n',
+    ("adjacent", "json"):
+        '{"formula": "adjacent", "hypothesis_ok": true, "params": {"a": 2, "n": 6, "t": 2}, "value": 13}\n',
+    ("adjacent", "plain"):
+        '13\n',
+    ("adjacent", "csv"):
+        'formula,value,hypothesis_ok\r\nadjacent,13,True\r\n',
+    ("adjacent", "error"):
+        '{"error": "requires 1 <= a <= n-1, got a=6", "hypothesis_ok": false}\n',
+    ("cumulative-half", "json"):
+        '{"formula": "cumulative-half", "hypothesis_ok": true, "params": {"n": 10, "t": 3}, "value": 132}\n',
+    ("cumulative-half", "plain"):
+        '132\n',
+    ("cumulative-half", "csv"):
+        'formula,value,hypothesis_ok\r\ncumulative-half,132,True\r\n',
+    ("cumulative-half", "error"):
+        '{"error": "requires even n, got 9", "hypothesis_ok": false}\n',
+    ("weight-gap", "json"):
+        '{"formula": "weight-gap", "hypothesis_ok": true, "params": {"b": 2, "n": 10, "t": 3, "w1": 4}, "value": 40}\n',
+    ("weight-gap", "plain"):
+        '40\n',
+    ("weight-gap", "csv"):
+        'formula,value,hypothesis_ok\r\nweight-gap,40,True\r\n',
+    ("weight-gap", "error"):
+        '{"error": "requires 1 <= b <= t, got b=4, t=3", "hypothesis_ok": false}\n',
+    ("binom-ratio", "json"):
+        '{"exact": "9/4", "formula": "binom-ratio", "hypothesis_ok": true, "params": {"n": 20, "t": 2}, "value": 2.25}\n',
+    ("binom-ratio", "plain"):
+        '2.25\n',
+    ("binom-ratio", "csv"):
+        'formula,value,exact,hypothesis_ok\r\nbinom-ratio,2.25,9/4,True\r\n',
+    ("binom-ratio", "error"):
+        '{"error": "requires even n and t, got n=20, t=3", "hypothesis_ok": false}\n',
+    ("binom-ratio-limit", "json"):
+        '{"formula": "binom-ratio-limit", "hypothesis_ok": true, "params": {"t": 6}, "value": 20}\n',
+    ("binom-ratio-limit", "plain"):
+        '20\n',
+    ("binom-ratio-limit", "csv"):
+        'formula,value,hypothesis_ok\r\nbinom-ratio-limit,20,True\r\n',
+    ("binom-ratio-limit", "error"):
+        '{"error": "requires even t >= 2, got 5", "hypothesis_ok": false}\n',
+}
+
+
+@pytest.mark.parametrize("formula", list(BOUNDS_ARGS))
+@pytest.mark.parametrize("fmt", ["json", "plain", "csv", "error"])
+def test_bounds_stdout_is_pinned(capsys, formula, fmt):
+    ok, bad = BOUNDS_ARGS[formula]
+    if fmt == "error":
+        code, out = run_cli(capsys, "bounds", formula, *bad)
+        assert code == 1
+    else:
+        code, out = run_cli(capsys, "--format", fmt, "bounds", formula, *ok)
+        assert code == 0
+    assert out == BOUNDS_STDOUT[formula, fmt]
+
+
+def unlimited_str(value: int) -> str:
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(value)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("fmt", ["json", "plain", "csv"])
+def test_results_above_the_int_digit_limit_print(capsys, fmt):
+    limit = sys.get_int_max_str_digits()
+    code, out = run_cli(capsys, "--format", fmt, "bounds", "pattern", "--n", "20000", "--t", "5000")
+    assert sys.get_int_max_str_digits() == limit
+    assert code == 0
+    value = unlimited_str(pattern_bound(20000, 5000, "exactly"))
+    assert len(value) > limit
+    assert out == {
+        "json": '{"formula": "pattern", "hypothesis_ok": true, '
+                '"params": {"mode": "exactly", "n": 20000, "t": 5000}, "value": ' + value + "}\n",
+        "plain": value + "\n",
+        "csv": "formula,value,hypothesis_ok\r\npattern," + value + ",True\r\n",
+    }[fmt]
+
+
+def test_code_counts_above_the_int_digit_limit_print(capsys):
+    limit = sys.get_int_max_str_digits()
+    code, out = run_cli(capsys, "--format", "plain", "code", "--q", "4", "--n", "8000")
+    assert sys.get_int_max_str_digits() == limit
+    assert code == 0
+    value = unlimited_str(code_size_lower_bound(CodeParams(q=4, n=8000)))
+    assert len(value) > limit
+    assert out == value + "\n"
 
 
 def test_env_overrides_seed(capsys, monkeypatch):

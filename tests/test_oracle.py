@@ -53,6 +53,14 @@ def test_shape_validation():
         confusable_max(W("110"), W("011"), 4, "exactly", M)
 
 
+def test_confusable_max_refuses_before_enumerating():
+    # C(34, 15) = 1,855,967,520 deletion patterns per word: hours to enumerate.
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="^1855967520 patterns exceed enumeration limit 10000000$"):
+        confusable_max(W("01" * 17), W("10" * 17), 15, "exactly", M)
+    assert time.perf_counter() - start < 1.0
+
+
 def test_model_ordering_on_random_pairs():
     rng = random.Random(5)
     for _ in range(30):
