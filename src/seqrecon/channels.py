@@ -158,7 +158,6 @@ def transmit_random(
     model: ChannelModel,
     rng_seed: "int | str | None" = None,
     strict: bool = False,
-    track_patterns: bool = False,
 ) -> OutputCollection:
     """Send x through n_channels channels with i.i.d. uniform error patterns.
 
@@ -188,13 +187,5 @@ def transmit_random(
         if draw not in seen:
             seen.add(draw)
             distinct += 1
-        outputs[_materialize_output(x, sampler, draw)] += 1
-    return OutputCollection(
-        model.collection_kind,
-        dict(outputs),
-        distinct_patterns=distinct if track_patterns else None,
-    )
-
-
-def _materialize_output(x: Word, sampler: PatternSampler, draw) -> Word:
-    return Word.from_raw(sampler.apply_draw(draw, x.raw), x.q)
+        outputs[Word.from_raw(sampler.apply_draw(draw, x.raw), x.q)] += 1
+    return OutputCollection(model.collection_kind, dict(outputs), distinct_patterns=distinct)

@@ -6,7 +6,7 @@ just the principal value and `csv` a flat table.  Domain errors exit with
 status 1 and a structured {"error": ...} record; usage errors exit 2.
 
 Environment overrides: SEQRECON_SEED and SEQRECON_JOBS set the default seed
-and worker count.
+and worker count of `simulate` only.
 """
 
 from __future__ import annotations
@@ -26,16 +26,6 @@ from .decoder import DecoderConfig, StreamDecoder
 from .oracle import DEFAULT_BUDGET, confusable_max, extremal_search
 from .simulate import DEFAULT_SEED, SimSpec, run_sweep
 from .words import Word
-
-
-def _env_int(name: str, fallback: int) -> int:
-    raw = os.environ.get(name)
-    if raw is None:
-        return fallback
-    try:
-        return int(raw)
-    except ValueError:
-        raise SystemExit(f"environment variable {name}={raw!r} is not an integer")
 
 
 def _infer_q(*texts: str) -> int:
@@ -247,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     x.add_argument("--model", required=True)
     x.add_argument("--canonical", action="store_true", help="dedupe pairs up to symbol relabelling")
     x.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    x.add_argument("--jobs", type=int, default=_env_int("SEQRECON_JOBS", 1),
+    x.add_argument("--jobs", type=int, default=1,
                    help="accepted for compatibility; the search runs in one process")
     x.set_defaults(run=_cmd_extremal)
 
@@ -275,8 +265,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--td", type=int, required=True)
     s.add_argument("--ti", type=int, required=True)
     s.add_argument("--samples", type=int, required=True)
-    s.add_argument("--seed", type=int, default=_env_int("SEQRECON_SEED", DEFAULT_SEED))
-    s.add_argument("--jobs", type=int, default=_env_int("SEQRECON_JOBS", 1))
+    s.add_argument("--seed", type=int, default=os.environ.get("SEQRECON_SEED", DEFAULT_SEED))
+    s.add_argument("--jobs", type=int, default=os.environ.get("SEQRECON_JOBS", 1))
     s.add_argument("--max-reads", type=int, default=None)
     s.add_argument("--out", default=None, help="write the result table as CSV")
     s.set_defaults(run=_cmd_simulate)

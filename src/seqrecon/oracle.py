@@ -2,16 +2,20 @@
 
 For a word pair and an error budget, the oracle enumerates every pattern on
 both words and reports the largest channel count N for which the two words
-can produce identical output collections under each channel model:
+can produce identical output collections under each channel model.
 
-  traditional  - N = number of distinct outputs reachable from both words;
-  multiset     - N = sum over common outputs of min(multiplicity_x, multiplicity_x');
-  non-multiset - largest N with pattern sets D on x and D' on x' of size N
-                 whose output sets coincide; for a candidate common-output
-                 subset Y this is feasible iff |Y| <= N <= min of the two
-                 total multiplicities into Y, so the full common-output set
-                 realises the maximum: its min-sum always covers |Y|, since
-                 every common output has multiplicity >= 1 on both sides.
+The count depends only on c(y) and c'(y), the numbers of patterns on x and
+on x' that produce each output y the two words share.  Each model covers
+every shared output y with take(y) patterns on x and take'(y) on x', and N is
+the smaller of the two totals:
+
+  traditional  - (1, 1): N is the number of shared outputs;
+  multiset     - (min(c, c'), min(c, c')): N = sum of min(c(y), c'(y));
+  non-multiset - (c, c'): N = min(sum of c(y), sum of c'(y)).  Pattern sets D
+                 on x and D' on x' of size N whose output sets are one
+                 subset Y of the shared outputs exist iff |Y| <= N <= the
+                 smaller total into Y, so the whole shared set realises the
+                 maximum: since c, c' >= 1, its smaller total covers |Y|.
 
 The extremal search decides all C(q^n, 2) word pairs but visits only those
 that share a deletion output: it indexes each output to the words producing
@@ -55,12 +59,6 @@ class ConfusabilityReport:
     witness: ConfusabilityWitness | None = None
 
 
-def _as_patterns(raw_list, error_type: str) -> list[ErrorPattern]:
-    if error_type == "deletion":
-        return [ErrorPattern.of_deletion(d) for d in raw_list]
-    return [ErrorPattern.of_insertion(v) for v in raw_list]
-
-
 def confusable_max(
     x: Word,
     x_prime: Word,
@@ -70,66 +68,46 @@ def confusable_max(
     error_type: str = "deletion",
     want_witness: bool = False,
 ) -> ConfusabilityReport:
-    """Largest channel count at which x and x_prime can be confused."""
+    """Largest channel count at which x and x_prime can be confused.
+
+    Enumerates each word once and keeps only its output counts, from which
+    the cover rule of the module docstring gives the count.  A witness
+    enumerates both words a second time and keeps at most take(y) patterns
+    per shared output y.
+    """
     mode = check_mode(mode)
     if len(x) != len(x_prime) or x.q != x_prime.q:
         raise ValueError("words must share length and alphabet")
-    # Each word's outputs, mapped to the patterns producing them.
-    out_x, out_xp = {}, {}
-    for word, by_output in ((x, out_x), (x_prime, out_xp)):
-        for v, y in enumerate_patterns(word, t, mode, error_type):
-            by_output.setdefault(y, []).append(v)
-    mult_x = {y: len(ps) for y, ps in out_x.items()}
-    mult_xp = {y: len(ps) for y, ps in out_xp.items()}
-    common = [y for y in mult_x if y in mult_xp]
+    c, c_prime = (Counter(y for _, y in enumerate_patterns(w, t, mode, error_type)) for w in (x, x_prime))
+    common = [y for y in c if y in c_prime]  # in x's enumeration order
+    if model is ChannelModel.TRADITIONAL:
+        take = take_prime = dict.fromkeys(common, 1)
+    elif model is ChannelModel.MULTISET:
+        take = take_prime = {y: min(c[y], c_prime[y]) for y in common}
+    else:
+        take, take_prime = {y: c[y] for y in common}, {y: c_prime[y] for y in common}
+    n_max = min(sum(take.values()), sum(take_prime.values()))
 
     witness = None
-    if model is ChannelModel.TRADITIONAL:
-        n_max = len(common)
-        if want_witness and n_max:
-            px = [out_x[y][0] for y in common]
-            pxp = [out_xp[y][0] for y in common]
-            witness = _make_witness(px, pxp, error_type, model, {y: 1 for y in common})
-    elif model is ChannelModel.MULTISET:
-        n_max = sum(min(mult_x[y], mult_xp[y]) for y in common)
-        if want_witness and n_max:
-            px, pxp, counts = [], [], {}
-            for y in common:
-                take = min(mult_x[y], mult_xp[y])
-                px.extend(out_x[y][:take])
-                pxp.extend(out_xp[y][:take])
-                counts[y] = take
-            witness = _make_witness(px, pxp, error_type, model, counts)
-    elif model is ChannelModel.NON_MULTISET:
-        # The whole common-output set realises the maximum feasible N.
-        n_max = min(sum(mult_x[y] for y in common), sum(mult_xp[y] for y in common))
-        if want_witness and n_max:
-            px = _cover_with(out_x, common, n_max)
-            pxp = _cover_with(out_xp, common, n_max)
-            witness = _make_witness(px, pxp, error_type, model, {y: 1 for y in common})
-    else:
-        raise ValueError(f"unknown model {model}")
+    if want_witness and n_max:
+        of = ErrorPattern.of_deletion if error_type == "deletion" else ErrorPattern.of_insertion
+        chosen = []
+        for word, quota in ((x, take), (x_prime, take_prime)):
+            kept = {y: (quota[y], []) for y in common}  # (quota, patterns): one lookup per pattern
+            for v, y in enumerate_patterns(word, t, mode, error_type):
+                slot = kept.get(y)
+                if slot and len(slot[1]) < slot[0]:
+                    slot[1].append(of(v))
+            groups = [g for _, g in kept.values()]
+            if model is ChannelModel.NON_MULTISET:
+                # One pattern per shared output, then fill output by output.
+                patterns = [g[0] for g in groups] + [p for g in groups for p in g[1:]]
+            else:
+                patterns = [p for g in groups for p in g]
+            chosen.append(patterns[:n_max])
+        witness = ConfusabilityWitness(*chosen, OutputCollection(model.collection_kind, take))
     return ConfusabilityReport(
         x, x_prime, t, mode, model, error_type, n_max, witness
-    )
-
-
-def _cover_with(by_output, subset, n: int) -> list:
-    """Exactly n patterns whose outputs cover `subset` and stay inside it."""
-    chosen = [by_output[y][0] for y in subset]
-    for y in subset:
-        for p in by_output[y][1:]:
-            if len(chosen) == n:
-                return chosen
-            chosen.append(p)
-    return chosen
-
-
-def _make_witness(px, pxp, error_type, model, counts) -> ConfusabilityWitness:
-    return ConfusabilityWitness(
-        _as_patterns(px, error_type),
-        _as_patterns(pxp, error_type),
-        OutputCollection(model.collection_kind, counts),
     )
 
 
@@ -200,8 +178,9 @@ def _scan_pairs(words: list[tuple], n: int, t: int, mode: str, model: ChannelMod
     never: list[tuple[int, int]] = []
     for i, row in enumerate(rows):
         # mine[j] and theirs[j]: how much of word i's and of word j's total
-        # their shared outputs cover (one sum serves both in the multiset and
-        # traditional models); the pair's count is the smaller one.
+        # their shared outputs cover under the cover rule of the module
+        # docstring (one sum serves both in the multiset and traditional
+        # models); the pair's count is the smaller one.
         if model is ChannelModel.NON_MULTISET:
             mine, theirs = {}, {}
             get, get_theirs = mine.get, theirs.get

@@ -209,7 +209,7 @@ def test_criterion_06_expectations():
     reps = 10_000
     values = []
     for rep in range(reps):
-        col = transmit_random(x, 50, (0, 2, 0), M, rng_seed=rep, track_patterns=True)
+        col = transmit_random(x, 50, (0, 2, 0), M, rng_seed=rep)
         values.append(col.distinct_patterns)
     mean = sum(values) / reps
     var = sum((v - mean) ** 2 for v in values) / (reps - 1)

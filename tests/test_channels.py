@@ -112,7 +112,7 @@ def test_transmit_random_strict_patterns_unique():
     x = W("000")
     # pattern space is 9; asking for all 9 distinct patterns must work
     col = transmit_random(x, 9, (0, 0, 1), ChannelModel.MULTISET, rng_seed=3,
-                          strict=True, track_patterns=True)
+                          strict=True)
     assert col.distinct_patterns == 9
     assert counts_by_text(col) == {"000": 1, "0000": 4, "1000": 1, "0100": 1, "0010": 1, "0001": 1}
     with pytest.raises(ValueError):
@@ -121,7 +121,7 @@ def test_transmit_random_strict_patterns_unique():
 
 def test_transmit_random_tracks_distinct_patterns():
     x = W("0101010101")
-    col = transmit_random(x, 50, (0, 2, 0), ChannelModel.MULTISET, rng_seed=17, track_patterns=True)
+    col = transmit_random(x, 50, (0, 2, 0), ChannelModel.MULTISET, rng_seed=17)
     assert 1 <= col.distinct_patterns <= 50
 
 

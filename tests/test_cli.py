@@ -339,6 +339,22 @@ def test_env_overrides_seed(capsys, monkeypatch):
     assert json.loads(out)["average"] != json.loads(out2)["average"] or out != out2
 
 
+
+def test_bad_env_value_is_ignored_by_other_commands(capsys, monkeypatch):
+    monkeypatch.setenv("SEQRECON_JOBS", "x")
+    monkeypatch.setenv("SEQRECON_SEED", "abc")
+    code, out = run_cli(capsys, "bounds", "pattern", "--n", "6", "--t", "1")
+    assert code == 0 and json.loads(out)["value"] == 5
+
+
+def test_bad_env_seed_is_a_simulate_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("SEQRECON_SEED", "abc")
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--q", "4", "--n", "25", "--ts", "0", "--td", "0", "--ti", "1", "--samples", "5"])
+    assert exc.value.code == 2
+    assert "argument --seed: invalid int value: 'abc'" in capsys.readouterr().err
+
+
 DECODE_FIX = ("decode", "--q", "6", "--n", "10", "--ts", "1", "--td", "1", "--ti", "2")
 FIX_OUT = (
     '{"certificate": {"anchors": [0, 1, 2], "words": ["10003010210", "12132110121", '

@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import time
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -11,9 +12,9 @@ from seqrecon.bounds import (
     levenshtein_deletion_bound,
     pattern_bound,
 )
-from seqrecon.channels import ChannelModel
+from seqrecon.channels import ChannelModel, OutputCollection, enumerate_patterns
 from seqrecon.oracle import confusable_max, extremal_search
-from seqrecon.patterns import apply_pattern
+from seqrecon.patterns import ErrorPattern, apply_pattern
 from seqrecon.words import Word
 
 M = ChannelModel.MULTISET
@@ -110,6 +111,99 @@ def test_insertion_oracle_symmetric_and_ordered():
     assert a.n_max_confusable == b.n_max_confusable > 0
     nm = confusable_max(x, xp, 1, "exactly", NM, error_type="insertion")
     assert a.n_max_confusable <= nm.n_max_confusable
+
+
+def _pattern_lists_reference(x, xp, t, mode, model, error_type):
+    """The oracle that stores every pattern of both words, grouped by output.
+
+    Returns (n_max, patterns on x, patterns on xp, witness outputs), the last
+    three None when the words share no output.
+    """
+    out_x, out_xp = {}, {}
+    for word, by_output in ((x, out_x), (xp, out_xp)):
+        for v, y in enumerate_patterns(word, t, mode, error_type):
+            by_output.setdefault(y, []).append(v)
+    common = [y for y in out_x if y in out_xp]
+    if model is TR:
+        n_max = len(common)
+        px = [out_x[y][0] for y in common]
+        pxp = [out_xp[y][0] for y in common]
+        counts = {y: 1 for y in common}
+    elif model is M:
+        px, pxp, counts = [], [], {}
+        for y in common:
+            take = min(len(out_x[y]), len(out_xp[y]))
+            px.extend(out_x[y][:take])
+            pxp.extend(out_xp[y][:take])
+            counts[y] = take
+        n_max = len(px)
+    else:
+        n_max = min(sum(len(out_x[y]) for y in common), sum(len(out_xp[y]) for y in common))
+
+        def cover(by_output):
+            chosen = [by_output[y][0] for y in common]
+            for y in common:
+                for p in by_output[y][1:]:
+                    if len(chosen) == n_max:
+                        return chosen
+                    chosen.append(p)
+            return chosen
+
+        px, pxp, counts = cover(out_x), cover(out_xp), {y: 1 for y in common}
+    if not n_max:
+        return 0, None, None, None
+    of = ErrorPattern.of_deletion if error_type == "deletion" else ErrorPattern.of_insertion
+    return (
+        n_max,
+        [of(v) for v in px],
+        [of(v) for v in pxp],
+        OutputCollection(model.collection_kind, counts),
+    )
+
+
+def test_confusable_max_matches_pattern_lists_reference():
+    rng = random.Random(2406)
+    cases = [
+        (W("110010"), W("110010"), 2, "deletion"),  # x == x'
+        (W("0000"), W("1111"), 1, "deletion"),  # no shared output
+        (W("0102", 3), W("0120", 3), 1, "insertion"),
+    ]
+    for q in (2, 3, 4):
+        for error_type, t_values, lengths in (("deletion", (0, 1, 2), (3, 8)), ("insertion", (1,), (2, 5))):
+            for _ in range(12):
+                n = rng.randrange(*lengths)
+                x = Word([rng.randrange(q) for _ in range(n)], q)
+                xp = Word([rng.randrange(q) for _ in range(n)], q)
+                cases.append((x, xp, rng.choice(t_values), error_type))
+    shared_none = 0
+    for x, xp, t, error_type in cases:
+        for mode in ("exactly", "at_most"):
+            for model in (TR, M, NM):
+                n_max, px, pxp, outputs = _pattern_lists_reference(x, xp, t, mode, model, error_type)
+                for want_witness in (False, True):
+                    rep = confusable_max(x, xp, t, mode, model, error_type, want_witness=want_witness)
+                    assert rep.n_max_confusable == n_max, (x, xp, t, mode, model, error_type)
+                    if not want_witness or outputs is None:
+                        assert rep.witness is None
+                        continue
+                    w = rep.witness
+                    assert w.patterns_x == px and w.patterns_x_prime == pxp
+                    assert w.outputs == outputs
+                shared_none += outputs is None
+    assert shared_none > 0
+
+
+def test_confusable_max_keeps_output_counts_not_patterns():
+    # C(24, 4) = 10,626 patterns per word; the count needs only their outputs.
+    x, xp = W("01" * 12), W("10" * 12)
+    tracemalloc.start()
+    try:
+        rep = confusable_max(x, xp, 4, "exactly", M)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.n_max_confusable > 0
+    assert peak < 5_000_000
 
 
 def test_extremal_small_nonmultiset():
