@@ -4,6 +4,11 @@ Every bound returns an exact integer computed with big-integer binomials.
 Each function validates the hypotheses under which its formula is known to
 hold and refuses out-of-domain calls rather than extrapolate.  The
 expectation helpers are the only floating-point surface.
+
+A sum of binomial terms is taken term by term, each from the one before by
+a ratio of small integers (_ratio_terms), so a term costs time linear in its
+digits; a math.comb per term costs far more once terms run to thousands of
+digits.
 """
 
 from __future__ import annotations
@@ -11,14 +16,27 @@ from __future__ import annotations
 import math
 import sys
 from fractions import Fraction
+from typing import Iterable, Iterator
 
 from .patterns import check_mode
 
 EULER_GAMMA = 0.5772156649015328606065120900824024
 
 
+def _ratio_terms(first: int, ratios: Iterable[tuple[int, int]]) -> Iterator[int]:
+    """first, then each next term as the one before times a over b, for the
+    (a, b) of `ratios` in order.  Every term must be an integer, so the
+    floor division is exact."""
+    term = first
+    yield term
+    for a, b in ratios:
+        term = term * a // b
+        yield term
+
+
 def _v2(n: int, t: int) -> int:
-    return sum(math.comb(n, i) for i in range(t + 1))
+    """Sum of C(n, i) over i <= t."""
+    return sum(_ratio_terms(1, ((n - i, i + 1) for i in range(t))))
 
 
 def levenshtein_deletion_bound(n: int, t: int) -> int:
@@ -26,7 +44,7 @@ def levenshtein_deletion_bound(n: int, t: int) -> int:
     word under exactly t deletions in the traditional model."""
     if not 1 <= t <= n - 2:
         raise ValueError(f"requires 1 <= t <= n-2, got t={t}, n={n}")
-    return 2 * sum(math.comb(n - t - 1, i) for i in range(t)) + 1
+    return 2 * _v2(n - t - 1, t - 1) + 1
 
 
 def levenshtein_insertion_bound(n: int, q: int, t: int) -> int:
@@ -36,10 +54,12 @@ def levenshtein_insertion_bound(n: int, q: int, t: int) -> int:
         raise ValueError(f"requires t >= 1, got {t}")
     if q < 2 or n < 1:
         raise ValueError("requires q >= 2 and n >= 1")
-    return (
-        sum(math.comb(n + t, i) * (q - 1) ** i * (1 - (-1) ** (t - i)) for i in range(t))
-        + 1
-    )
+    # The sum of C(n+t, i) (q-1)^i (1 - (-1)^(t-i)) over i < t: only the
+    # terms with t - i odd are nonzero, and each is twice C(n+t, i) (q-1)^i.
+    m, r = n + t, (q - 1) ** 2
+    start = (t - 1) % 2
+    ratios = (((m - i) * (m - i - 1) * r, (i + 1) * (i + 2)) for i in range(start, t - 2, 2))
+    return 2 * sum(_ratio_terms(math.comb(m, start) * (q - 1) ** start, ratios)) + 1
 
 
 def pattern_bound(n: int, t: int, mode: str) -> int:
@@ -86,7 +106,9 @@ def cumulative_half_bound(n: int, t: int) -> int:
     if t < 2 or n < 2 * t + 2:
         raise ValueError(f"requires t >= 2 and n >= 2t+2, got t={t}, n={n}")
     half = n // 2 - 1
-    crossing = sum(math.comb(half, i // 2) * math.comb(half, (i + 1) // 2) for i in range(t + 1))
+    # Term i is C(half, floor(i/2)) C(half, ceil(i/2)); either step from i
+    # to i + 1 raises one of the two lower indices from k = floor(i/2).
+    crossing = sum(_ratio_terms(1, ((half - i // 2, i // 2 + 1) for i in range(t))))
     return _v2(n, t) - crossing + 1
 
 
@@ -100,13 +122,23 @@ def weight_gap_confusable(n: int, w1: int, b: int, t: int) -> int:
         raise ValueError(f"requires 1 <= b <= t, got b={b}, t={t}")
     if not b <= w1 <= n or t > n:
         raise ValueError(f"requires b <= w1 <= n and t <= n, got w1={w1}, n={n}, t={t}")
-    return sum(
-        min(
-            math.comb(w1, i) * math.comb(n - w1, t - i),
-            math.comb(w1 - b, i - b) * math.comb(n - w1 + b, t + b - i),
-        )
-        for i in range(b, t + 1)
+    # The sum over b <= i <= t of min(C(w1, i) C(n-w1, t-i),
+    # C(w1-b, i-b) C(n-w1+b, t+b-i)); both products are nonzero exactly for
+    # lo <= i <= hi.
+    z = n - w1
+    lo, hi = max(b, t - z), min(t, w1)
+    if lo > hi:
+        return 0
+    steps = range(lo, hi)
+    first = _ratio_terms(
+        math.comb(w1, lo) * math.comb(z, t - lo),
+        (((w1 - i) * (t - i), (i + 1) * (z - t + i + 1)) for i in steps),
     )
+    second = _ratio_terms(
+        math.comb(w1 - b, lo - b) * math.comb(z + b, t + b - lo),
+        (((w1 - i) * (t + b - i), (i - b + 1) * (z - t + i + 1)) for i in steps),
+    )
+    return sum(map(min, first, second))
 
 
 def binom_ratio(n: int, t: int) -> Fraction:

@@ -10,10 +10,17 @@ with probability approaching one, and a nonempty result is always correct.
 Requires q >= 4: with fewer symbols the positions of the untouched symbols
 cannot be recovered.
 
-Outputs are held in the raw form of seqrecon.words, one character per symbol,
-for every q; a Word stores that form, so pushing one costs no conversion.
-StreamDecoder.read is the one read loop: it stops at the first decision, at
-the end of the stream or at DecoderConfig.read_cap reads.
+The decoder decides on symbol counts alone and reads words only to rebuild
+the transmitted one from a certificate.  So an output adapter turns each
+output into a stored token, its symbol counts and its length, and turns a
+token back into the raw form of seqrecon.words (one character per symbol,
+for every q) only for the six words of a certificate.  The default,
+RawOutputs, takes outputs that are words: the token is the raw form, which
+a Word stores, so pushing one costs no conversion.  Simulation stores raw
+draws of a PatternSampler instead and counts them in O(t)
+(patterns.DrawOutputs).  StreamDecoder.read is the one read loop: it stops
+at the first decision, at the end of the stream or at DecoderConfig.read_cap
+reads.
 
 A read pays for what it changes.  Frontier.update skips the slots anchored at
 a symbol the new output holds too many of to displace any of them, and marks
@@ -153,8 +160,9 @@ class Frontier:
     M_b(y) >= stored M_b, both non-strict and both at once; slot (a, b, c)
     uses M_a and the count outside {a, b, c}.  Ties displace.  The (a, b, c)
     rule is symmetric in b, c so those slots are stored once per unordered
-    {b, c} and looked up under any order.  Every slot keeps the stored word's
-    symbol counts so certificate checks need no recount.
+    {b, c} and looked up under any order.  A slot stores the output's token
+    (see StreamDecoder) with its symbol counts, so certificate checks need
+    no recount and never read a word.
 
     The slots anchored at a symbol a, (a, b) and (a, b, c), form its group.
     `_gate[a]` is the largest M_a stored in a's group: an output with more
@@ -199,12 +207,12 @@ class Frontier:
         self._gate = [math.inf] * q
         self.pending: set[int] = set()
 
-    def update(self, word: str, counts: tuple[int, ...]) -> None:
-        """Offer one output, with its symbol counts, to every slot; mark as
-        pending the anchor triples of every slot whose stored counts changed
-        (a word swap with identical counts is no change)."""
+    def update(self, token, counts: tuple[int, ...], length: int) -> None:
+        """Offer one output's token, with its symbol counts and length, to
+        every slot; mark as pending the anchor triples of every slot whose
+        stored counts changed (a token swap with identical counts is no
+        change)."""
         table = self._table
-        length = len(word)
         gate, pending = self._gate, self.pending
         pma, pmb = self._pair_ma, self._pair_mb
         pword, pcounts, pair_anchors = self._pair_word, self._pair_counts, table.pair_anchors
@@ -219,7 +227,7 @@ class Frontier:
                     if pcounts[k] != counts:
                         pending.update(pair_anchors[k])
                     lowered = lowered or ca < pma[k]
-                    pword[k] = word
+                    pword[k] = token
                     pcounts[k] = counts
                     pma[k] = ca
                     pmb[k] = counts[b]
@@ -230,7 +238,7 @@ class Frontier:
                     if tcounts[k] != counts:
                         pending.update(tri_anchors[k])
                     lowered = lowered or ca < tma[k]
-                    tword[k] = word
+                    tword[k] = token
                     tcounts[k] = counts
                     tma[k] = ca
                     tout[k] = out
@@ -241,12 +249,12 @@ class Frontier:
                 )
 
     def get_pair(self, a: int, b: int):
-        """(stored word, M_a, M_b) for slot (a, b)."""
+        """(stored token, M_a, M_b) for slot (a, b)."""
         k = self._table.pair_index[(a, b)]
         return self._pair_word[k], self._pair_ma[k], self._pair_mb[k]
 
     def get_triple(self, a: int, b: int, c: int):
-        """(stored word, M_a, count outside {a,b,c}) for slot (a, b, c)."""
+        """(stored token, M_a, count outside {a,b,c}) for slot (a, b, c)."""
         k = self._table.tri_index[(a,) + tuple(sorted((b, c)))]
         return self._tri_word[k], self._tri_ma[k], self._tri_out[k]
 
@@ -270,7 +278,7 @@ class Certificate:
 def find_certificate(frontier: Frontier, cfg: DecoderConfig) -> Certificate | None:
     """Check the frontier's pending anchor triples in lexicographic order;
     return the first whose six slots satisfy all seven count equalities, or
-    None.
+    None.  The certificate's words are the six slots' stored tokens.
 
     The check reads stored counts only, so a triple whose six slots are
     unchanged since a scan that rejected it still fails: the first pending
@@ -291,7 +299,7 @@ def find_certificate(frontier: Frontier, cfg: DecoderConfig) -> Certificate | No
             continue
         if c2[s1] != tc[k4][s1] or c3[s2] != tc[k5][s2] or c1[s3] != tc[k6][s3]:
             continue
-        target = len(pw[k1]) - c1[s1] - c1[s2] - c1[s3] + grow
+        target = sum(c1) - c1[s1] - c1[s2] - c1[s3] + grow
         if tout[k4] == target and tout[k5] == target and tout[k6] == target:
             return Certificate((s1, s2, s3), (pw[k1], pw[k2], pw[k3], tw[k4], tw[k5], tw[k6]))
     return None
@@ -367,24 +375,47 @@ def reconstruct(cert: Certificate, cfg: DecoderConfig) -> str:
     return word if consumed and len(word) == cfg.n else ""
 
 
-class StreamDecoder:
-    """Online decoding engine over raw outputs (see the module docstring).
+class RawOutputs:
+    """StreamDecoder's default output adapter: an output is a raw str, a Word
+    or a sequence of symbol ints, and its token is its raw form."""
 
-    push() takes one output as a raw str, a Word or a sequence of symbol ints.
-    It returns None while undecided, the decoded word in raw form once
-    certified, or "" if a certificate failed its merge (a Las Vegas "give
-    up", never a wrong answer).  Certificates are only accepted once six
-    outputs have been read.  With all budgets zero the first output is the
-    answer and is returned immediately.  read() pushes a whole stream.
+    __slots__ = ("_alphabet",)
+
+    def __init__(self, q: int):
+        self._alphabet = alphabet(q)
+
+    def read(self, y) -> tuple:
+        """(raw form, symbol counts, length); raises ValueError on a symbol
+        outside the alphabet."""
+        raw = as_raw(y)
+        return raw, symbol_counts(raw, self._alphabet), len(raw)
+
+    @staticmethod
+    def raw(token: str) -> str:
+        return token
+
+
+class StreamDecoder:
+    """Online decoding engine (see the module docstring).
+
+    push() takes one output in the form its output adapter reads: by default
+    (RawOutputs) a raw str, a Word or a sequence of symbol ints.  An adapter
+    has read(y) -> (token, symbol counts, length) and raw(token) -> the raw
+    form.  push() returns None while undecided, the decoded word in raw form
+    once certified, or "" if a certificate failed its merge (a Las Vegas
+    "give up", never a wrong answer).  Certificates are only accepted once
+    six outputs have been read, and hold the raw forms of their words.  With
+    all budgets zero the first output is the answer and is returned
+    immediately.  read() pushes a whole stream.
     """
 
-    def __init__(self, cfg: DecoderConfig):
+    def __init__(self, cfg: DecoderConfig, outputs=None):
         self.cfg = cfg
         self.frontier = Frontier(cfg.q)
         self.reads = 0
         self.certificate: Certificate | None = None
         self.result = None
-        self._alphabet = alphabet(cfg.q)
+        self.outputs = outputs if outputs is not None else RawOutputs(cfg.q)
 
     @property
     def channels_required(self) -> int:
@@ -397,24 +428,23 @@ class StreamDecoder:
     def push(self, y) -> str | None:
         if self.result is not None:
             raise RuntimeError("decoder already finished")
-        raw = as_raw(y)
         cfg = self.cfg
         self.reads += 1
-        length = len(raw)
+        token, counts, length = self.outputs.read(y)
         if not cfg.n - cfg.t_del <= length <= cfg.n + cfg.t_ins:
             raise ValueError(
                 f"output length {length} outside [{cfg.n - cfg.t_del}, {cfg.n + cfg.t_ins}]"
             )
-        counts = symbol_counts(raw, self._alphabet)
         if cfg.count_swing == 0:
-            self.result = raw
-            return raw
+            self.result = self.outputs.raw(token)
+            return self.result
         frontier = self.frontier
-        frontier.update(raw, counts)
+        frontier.update(token, counts, length)
         if frontier.pending and self.reads >= 6:
             cert = find_certificate(frontier, cfg)
             if cert is not None:
-                self.certificate = cert
+                words = tuple(map(self.outputs.raw, cert.words))
+                self.certificate = cert = Certificate(cert.anchors, words)
                 self.result = reconstruct(cert, cfg)
                 return self.result
             frontier.pending.clear()

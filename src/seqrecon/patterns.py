@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .words import Word, alphabet
+from .words import Word, alphabet, symbol_counts
 
 Mode = str  # "exactly" | "at_most"
 
@@ -266,8 +267,30 @@ def _sample_range(getrandbits, m: int, k: int) -> list[int]:
     """random.Random.sample(range(m), k), in selection order, through the same
     getrandbits calls.  Like the stdlib, it swap-removes from a pool of all m
     values when that list is smaller than a k-entry set, and otherwise redraws
-    any value already taken."""
+    any value already taken.  One or two picks, the shapes of one insertion
+    or of one deletion plus one substitution, make those calls without
+    building the pool or the set."""
     setsize = 21
+    if k == 1 or k == 2:
+        bits = m.bit_length()
+        j = getrandbits(bits)
+        while j >= m:
+            j = getrandbits(bits)
+        if k == 1:
+            return [j]
+        if m <= setsize:
+            # The pool path: pick from the m - 1 values left after the last
+            # one took j's place.
+            top = m - 1
+            bits = top.bit_length()
+            i = getrandbits(bits)
+            while i >= top:
+                i = getrandbits(bits)
+            return [j, top if i == j else i]
+        i = getrandbits(bits)
+        while i >= m or i == j:
+            i = getrandbits(bits)
+        return [j, i]
     if k > 5:
         setsize += 4 ** math.ceil(math.log(k * 3, 4))
     picked = []
@@ -365,7 +388,7 @@ class PatternSampler:
             # Uniform gap multiset of size `total` over the n+1 gaps, via the
             # standard bijection with `total`-subsets of [0, n+total).
             chosen = sorted(_sample_range(getrandbits, n + total, total))
-            gaps = tuple(c - k for k, c in enumerate(chosen))
+            gaps = tuple(map(operator.sub, chosen, range(total)))
             ins = []
             bits = q.bit_length()
             for _ in range(total):
@@ -424,13 +447,6 @@ class PatternSampler:
             SubstitutionPattern(tuple(entries)),
         )
 
-    def sample_output(self, rng: random.Random, x_raw: str) -> str:
-        """Draw a pattern and apply it to x in one go (hot path for simulation).
-
-        x_raw and the output are in the raw form of seqrecon.words.
-        """
-        return self.apply_draw(self.draw(rng), x_raw)
-
     def apply_draw(self, draw, x_raw: str) -> str:
         """Apply a raw draw to the transmitted word in raw form; O(n + t)."""
         gaps, ins_symbols, del_pos, sub_pos, sub_off = draw
@@ -448,6 +464,48 @@ class PatternSampler:
         for g, s in zip(reversed(gaps), reversed(ins_symbols)):
             out.insert(g - bisect_left(del_pos, g), symbols[s])
         return "".join(out)
+
+
+class DrawOutputs:
+    """The outputs of one transmitted word x, each given as a raw draw of a
+    PatternSampler: an output adapter for StreamDecoder.
+
+    read() gives a draw's output counts in O(t) from x's counts: x's symbol
+    leaves at each deleted and each substituted position, and each
+    replacement and each inserted symbol joins.  They equal
+    symbol_counts(apply_draw(draw, x)).  The decoder stores the draw itself;
+    raw() applies it to x, which the decoder does only for the six words of
+    a certificate and for the answer of a zero-budget decode.
+    """
+
+    __slots__ = ("sampler", "x_raw", "_x", "_counts")
+
+    def __init__(self, sampler: PatternSampler, x_raw: str):
+        if len(x_raw) != sampler.n:
+            raise ValueError(f"x has length {len(x_raw)}, sampler built for {sampler.n}")
+        self.sampler = sampler
+        self.x_raw = x_raw
+        self._x = Word.from_raw(x_raw, sampler.q).symbols
+        self._counts = symbol_counts(x_raw, sampler._alphabet)
+
+    def read(self, draw) -> tuple:
+        """(draw, output symbol counts, output length)."""
+        _, ins_symbols, del_pos, sub_pos, sub_off = draw
+        x = self._x
+        counts = list(self._counts)
+        for p in del_pos:
+            counts[x[p]] -= 1
+        for p, off in zip(sub_pos, sub_off):
+            s = x[p]
+            counts[s] -= 1
+            counts[off + (off >= s)] += 1
+        for s in ins_symbols:
+            counts[s] += 1
+        return draw, tuple(counts), self.sampler.n - len(del_pos) + len(ins_symbols)
+
+    def raw(self, draw) -> str:
+        """The output of a draw, in raw form."""
+        return self.sampler.apply_draw(draw, self.x_raw)
 
 
 def sample_pattern(

@@ -3,10 +3,12 @@
 Each trial samples a uniform codeword, streams uniform channel outputs into
 StreamDecoder.read and records how many channels it required, i.e. outputs
 read beyond the one that initialises the decoder's tracking state (a
-zero-budget decode counts its single read).  A trial that reaches the
-decoder's read cap without a decision is a failure.  Trials use independent
-generators derived as Random(f"{seed}:{trial_index}") so a run is
-reproducible and independent of how trials are split across workers.
+zero-budget decode counts its single read).  An output is streamed as its
+raw draw, which patterns.DrawOutputs counts in O(t) without building the
+output word; only the six words of a certificate are built.  A trial that
+reaches the decoder's read cap without a decision is a failure.  Trials use
+independent generators derived as Random(f"{seed}:{trial_index}") so a run
+is reproducible and independent of how trials are split across workers.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from functools import partial
 
 from .codebook import DEFAULT_RARITY, CodeParams, sample_raw_codeword, top_two_threshold
 from .decoder import DecoderConfig, StreamDecoder
-from .patterns import PatternSampler
+from .patterns import DrawOutputs, PatternSampler
 from .words import alphabet
 
 DEFAULT_SEED = 1729
@@ -93,9 +95,9 @@ def _run_trials(args) -> tuple[Counter, int, int]:
     for trial in range(lo, hi):
         rng = random.Random(f"{seed}:{trial}")
         x = sample_raw_codeword(symbols, cfg.n, tau, rng)
-        dec = StreamDecoder(cfg)
-        # sample_output never returns None, so the stream ends only at the read cap.
-        result = dec.read(iter(partial(sampler.sample_output, rng, x), None))
+        dec = StreamDecoder(cfg, outputs=DrawOutputs(sampler, x))
+        # draw never returns None, so the stream ends only at the read cap.
+        result = dec.read(iter(partial(sampler.draw, rng), None))
         if not result:
             failures += 1
         else:

@@ -324,7 +324,7 @@ def test_criterion_10_decode_cost_linear():
             dec = StreamDecoder(cfg)
             stream = []
             while dec.result is None and len(stream) < cap:
-                stream.append(sampler.sample_output(rng, x))
+                stream.append(sampler.apply_draw(sampler.draw(rng), x))
                 dec.push(stream[-1])
             assert dec.result == x
             out.append(stream)

@@ -1,4 +1,8 @@
+import json
 import math
+import os
+import subprocess
+import sys
 import time
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -107,6 +111,123 @@ def test_weight_gap_confusable_values():
     assert bounds.weight_gap_confusable(6, 3, 1, 2) == 9
     with pytest.raises(ValueError):
         bounds.weight_gap_confusable(6, 3, 3, 2)  # gap exceeds deletions
+
+
+
+def _term_by_term(name, *args):
+    """The bound as the sum of math.comb products that defines it."""
+    c = math.comb
+    if name == "levenshtein_deletion_bound":
+        n, t = args
+        return 2 * sum(c(n - t - 1, i) for i in range(t)) + 1
+    if name == "levenshtein_insertion_bound":
+        n, q, t = args
+        return sum(c(n + t, i) * (q - 1) ** i * (1 - (-1) ** (t - i)) for i in range(t)) + 1
+    if name == "pattern_bound":
+        n, t, mode = args
+        half = (n + 1) // 2 - 1
+        if mode == "at_most":
+            return sum(c(n, i) - c(half, i) for i in range(t + 1)) + 1
+        return c(n, t) - c(half, t) + 1
+    if name == "cumulative_half_bound":
+        n, t = args
+        half = n // 2 - 1
+        crossing = sum(c(half, i // 2) * c(half, (i + 1) // 2) for i in range(t + 1))
+        return sum(c(n, i) for i in range(t + 1)) - crossing + 1
+    n, w1, b, t = args
+    return sum(
+        min(c(w1, i) * c(n - w1, t - i), c(w1 - b, i - b) * c(n - w1 + b, t + b - i))
+        for i in range(b, t + 1)
+    )
+
+
+def test_bound_sums_equal_their_term_by_term_definitions():
+    # Each sum steps from term to term by a ratio of small integers; it must
+    # equal the sum of the binomials it stands for, over the whole domain.
+    checked = 0
+    for n in range(2, 31):
+        for t in range(1, n + 1):
+            cases = [("levenshtein_insertion_bound", n, q, t) for q in (2, 3, 4, 13)]
+            if t <= n - 2:
+                cases.append(("levenshtein_deletion_bound", n, t))
+            if n >= 2 * t + 2:
+                cases += [("pattern_bound", n, t, mode) for mode in ("exactly", "at_most")]
+                if n % 2 == 0 and t >= 2:
+                    cases.append(("cumulative_half_bound", n, t))
+            cases += [
+                ("weight_gap_confusable", n, w1, b, t)
+                for w1 in range(1, n + 1)
+                for b in range(1, min(t, w1) + 1)
+            ]
+            for name, *args in cases:
+                assert getattr(bounds, name)(*args) == _term_by_term(name, *args), (name, args)
+                checked += 1
+    assert checked > 20000
+
+
+_PRIME = 2**61 - 1
+
+
+def _binomials_mod_prime(top):
+    """C(m, k) mod _PRIME for 0 <= m <= top, from factorial tables."""
+    fact = [1] * (top + 1)
+    for i in range(1, top + 1):
+        fact[i] = fact[i - 1] * i % _PRIME
+    inv = [1] * (top + 1)
+    inv[top] = pow(fact[top], _PRIME - 2, _PRIME)
+    for i in range(top, 0, -1):
+        inv[i - 1] = inv[i] * i % _PRIME
+    return lambda m, k: fact[m] * inv[k] * inv[m - k] % _PRIME if 0 <= k <= m else 0
+
+
+def _large_pattern_at_most(c):
+    n, t, half = 200000, 50000, 99999
+    return sum(c(n, i) - c(half, i) for i in range(t + 1)) + 1
+
+
+def _large_levenshtein_insertion(c):
+    n, q, t = 100000, 4, 30000
+    return sum(2 * c(n + t, i) * pow(q - 1, i, _PRIME) for i in range(t) if (t - i) % 2) + 1
+
+
+def _large_weight_gap(c):
+    # At b = 1 the first product over the second is w1 (t-i+1) / (i (n-w1+1)),
+    # so the smaller one is known without computing either.
+    n, w1, t = 100000, 50000, 20000
+    z = n - w1
+    return sum(
+        c(w1, i) * c(z, t - i) if w1 * (t - i + 1) <= i * (z + 1) else c(w1 - 1, i - 1) * c(z + 1, t + 1 - i)
+        for i in range(1, t + 1)
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, reference",
+    [
+        ("pattern --n 200000 --t 50000 --mode at-most", _large_pattern_at_most),
+        ("levenshtein-insertion --n 100000 --q 4 --t 30000", _large_levenshtein_insertion),
+        ("weight-gap --n 100000 --w1 50000 --b 1 --t 20000", _large_weight_gap),
+    ],
+    ids=["pattern", "levenshtein-insertion", "weight-gap"],
+)
+def test_large_bound_sums_finish_exactly(argv, reference):
+    # Each ran past 20 s when every term was its own math.comb; the results
+    # have 20,000 to 49,000 digits.  The value is checked modulo a prime.
+    proc = subprocess.run(
+        [sys.executable, "-m", "seqrecon", "bounds", *argv.split()],
+        capture_output=True,
+        text=True,
+        timeout=20,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        value = json.loads(proc.stdout)["value"]
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert value % _PRIME == reference(_binomials_mod_prime(200000)) % _PRIME
 
 
 def test_binom_ratio_values():

@@ -17,7 +17,7 @@ from seqrecon.decoder import (
     reconstruct,
     reconstruction_steps,
 )
-from seqrecon.patterns import PatternSampler, apply_pattern
+from seqrecon.patterns import DrawOutputs, PatternSampler, apply_pattern
 from seqrecon.words import Word, alphabet, symbol_counts
 
 # Worked six-output fixture over q=6, n=10 with budgets (subs, dels, ins) = (1, 1, 2).
@@ -34,7 +34,7 @@ FIX_CFG = DecoderConfig(q=6, n=10, t_sub=1, t_del=1, t_ins=2)
 
 
 def offer(frontier, raw):
-    frontier.update(raw, symbol_counts(raw, alphabet(frontier.q)))
+    frontier.update(raw, symbol_counts(raw, alphabet(frontier.q)), len(raw))
 
 
 def feed(rows, cfg):
@@ -217,7 +217,7 @@ def test_count_swing_bounds_every_output_pair(seed):
     cfg = DecoderConfig(q=4, n=12, t_sub=1, t_del=1, t_ins=1)
     sampler = PatternSampler(12, 4, 1, 1, 1)
     x = sample_codeword(CodeParams(q=4, n=12), rng)
-    outs = [sampler.sample_output(rng, x.text) for _ in range(8)]
+    outs = [sampler.apply_draw(sampler.draw(rng), x.text) for _ in range(8)]
     for i, y in enumerate(outs):
         for z in outs[i + 1:]:
             for d in "0123":
@@ -235,7 +235,7 @@ def test_randomised_end_to_end_never_wrong():
         dec = StreamDecoder(cfg)
         out = None
         for _ in range(30_000):
-            out = dec.push(sampler.sample_output(rng, x.text))
+            out = dec.push(sampler.apply_draw(sampler.draw(rng), x.text))
             if out is not None:
                 break
         if out:
@@ -252,7 +252,7 @@ def test_tuple_path_for_large_alphabets():
     dec = StreamDecoder(cfg)
     out = None
     for _ in range(5000):
-        out = dec.push(Word.from_raw(sampler.sample_output(rng, x.raw), 12).symbols)
+        out = dec.push(Word.from_raw(sampler.apply_draw(sampler.draw(rng), x.raw), 12).symbols)
         if out is not None:
             break
     assert out == x.raw
@@ -289,7 +289,7 @@ def test_las_vegas_on_adversarial_orders(seed):
     cfg = DecoderConfig(q=4, n=n, t_sub=1, t_del=1, t_ins=1)
     sampler = PatternSampler(n, 4, 1, 1, 1)
     x = sample_codeword(CodeParams(q=4, n=n), rng).text
-    outs = sorted({sampler.sample_output(rng, x) for _ in range(400)})
+    outs = sorted({sampler.apply_draw(sampler.draw(rng), x) for _ in range(400)})
     orders = [
         outs,
         [outs[rng.randrange(len(outs))]] * 200 + outs,
@@ -376,7 +376,7 @@ def test_incremental_decoder_matches_full_scan_and_ungated_update(q, reads, budg
     sampler = PatternSampler(n, q, *budgets)
     rng = random.Random(f"incremental:{q}:{budgets}")
     x = "".join(rng.choices(alphabet(q), k=n))
-    stream = [sampler.sample_output(rng, x) for _ in range(reads)]
+    stream = [sampler.apply_draw(sampler.draw(rng), x) for _ in range(reads)]
     outs = sorted(set(stream))
     orders = [
         stream,
@@ -403,6 +403,27 @@ def test_incremental_decoder_matches_full_scan_and_ungated_update(q, reads, budg
         assert decoded == len(orders)
 
 
+
+@pytest.mark.parametrize(
+    "q, n, budgets", [(4, 30, (1, 1, 1)), (5, 20, (0, 1, 2)), (13, 12, (1, 0, 1)), (4, 9, (0, 0, 0))]
+)
+def test_draws_decode_like_their_outputs(q, n, budgets):
+    # Pushing draws through DrawOutputs and pushing the words they make give
+    # the same answer after the same reads, and the same certificate in raw
+    # form.
+    sampler = PatternSampler(n, q, *budgets)
+    cfg = DecoderConfig(q, n, *budgets)
+    for seed in range(6):
+        rng = random.Random(f"adapter:{q}:{seed}")
+        x = "".join(rng.choices(alphabet(q), k=n))
+        draws = [sampler.draw(rng) for _ in range(3000)]
+        by_draw = StreamDecoder(cfg, outputs=DrawOutputs(sampler, x))
+        by_word = StreamDecoder(cfg)
+        assert by_draw.read(draws) == by_word.read(sampler.apply_draw(d, x) for d in draws) == x
+        assert by_draw.reads == by_word.reads
+        assert by_draw.certificate == by_word.certificate
+
+
 def test_reconstruct_time_linear_in_length():
     def seconds_per_symbol(n):
         cfg = DecoderConfig(q=4, n=n, t_sub=1, t_del=1, t_ins=1)
@@ -411,7 +432,7 @@ def test_reconstruct_time_linear_in_length():
         x = sample_codeword(CodeParams(q=4, n=n), rng).text
         dec = StreamDecoder(cfg)
         for _ in range(20_000):
-            if dec.push(sampler.sample_output(rng, x)) is not None:
+            if dec.push(sampler.apply_draw(sampler.draw(rng), x)) is not None:
                 break
         assert dec.result == x
         cert = dec.certificate
@@ -522,7 +543,7 @@ def _honest_certificate(q, n, budgets, seed):
     sampler = PatternSampler(n, q, *budgets)
     dec = StreamDecoder(DecoderConfig(q, n, *budgets))
     while dec.result is None:
-        dec.push(sampler.sample_output(rng, x))
+        dec.push(sampler.apply_draw(sampler.draw(rng), x))
     assert dec.result == x
     return dec.certificate, rng
 

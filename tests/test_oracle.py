@@ -390,3 +390,15 @@ def test_optimal_counts_beyond_n10(n, t):
     res = extremal_search(n, 2, t, "exactly", M, budget=2**31)
     best_adjacent = max(adjacent_singleton_channels(n, t, a) for a in range(1, n))
     assert res.n_max_confusable == best_adjacent - 1
+
+
+def test_optimal_counts_at_n13_three_deletions():
+    # The paper's t = 3 counts at n = 13, exactly three deletions: 267
+    # non-multiset channels and 211 multiset ones still leave a pair
+    # confusable.
+    n, t = 13, 3
+    res = extremal_search(n, 2, t, "exactly", NM, budget=2**31)
+    assert res.n_max_confusable + 1 == pattern_bound(n, t, "exactly") == 267
+    res = extremal_search(n, 2, t, "exactly", M, budget=2**31)
+    best_adjacent = max(adjacent_singleton_channels(n, t, a) for a in range(1, n))
+    assert res.n_max_confusable == best_adjacent - 1 == 211

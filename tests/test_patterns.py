@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from seqrecon.patterns import (
     DeletionVector,
+    DrawOutputs,
     ErrorPattern,
     InsertionVector,
     PatternSampler,
@@ -18,7 +19,7 @@ from seqrecon.patterns import (
     enumerate_insertion_vectors,
     sample_pattern,
 )
-from seqrecon.words import Word, insertion_ball_volume
+from seqrecon.words import Word, alphabet, insertion_ball_volume, symbol_counts
 
 
 def W(text, q=2):
@@ -222,14 +223,39 @@ def test_probability_of_full_insertion_budget():
         assert full / reps >= 1 / (ti + 1) - 0.03
 
 
-def test_sample_and_sample_output_agree():
+def test_sample_and_apply_draw_agree():
     x = W("0123012301", 4)
     for ts, td, ti in [(1, 1, 1), (1, 1, 2), (0, 2, 2), (2, 0, 1)]:
         sampler = PatternSampler(10, 4, ts, td, ti)
         for seed in range(40):
             p = sampler.sample(random.Random(seed), x)
-            out = sampler.sample_output(random.Random(seed), x.text)
+            out = sampler.apply_draw(sampler.draw(random.Random(seed)), x.text)
             assert apply_pattern(x, p).text == out
+
+
+# Every budget shape up to two of each kind on a word of length 7, plus
+# substitutions and deletions that cover the whole word.
+COUNT_SHAPES = [(ts, td, ti) for ts in range(3) for td in range(3) for ti in range(3)] + [
+    (7, 0, 0), (0, 7, 1), (3, 4, 2), (5, 2, 0)
+]
+
+
+@pytest.mark.parametrize("q", [4, 5, 13])
+def test_draw_counts_equal_counts_of_applied_draw(q):
+    # DrawOutputs.read counts an output from its draw in O(t); it must give
+    # what counting the applied output gives.
+    rng = random.Random(f"counts:{q}")
+    symbols = alphabet(q)
+    n = 7
+    for shape in COUNT_SHAPES:
+        sampler = PatternSampler(n, q, *shape)
+        for _ in range(60):
+            x = "".join(rng.choices(symbols, k=n))
+            outputs = DrawOutputs(sampler, x)
+            draw = sampler.draw(rng)
+            y = sampler.apply_draw(draw, x)
+            assert outputs.read(draw) == (draw, symbol_counts(y, symbols), len(y))
+            assert outputs.raw(draw) == y
 
 
 def _reference_draw(sampler, rng):
@@ -254,6 +280,10 @@ def _reference_draw(sampler, rng):
     "n, q, ts, td, ti",
     [
         (20, 4, 1, 1, 1),  # sample's pool path: n + total <= 21
+        (20, 4, 0, 0, 1),  # one pick from 21 gaps: the pool path's edge
+        (21, 4, 0, 0, 1),  # one pick from 22 gaps: the set path's edge
+        (2, 4, 1, 1, 0),  # two picks from two positions empty the pool
+        (22, 4, 1, 1, 0),  # two picks, set path
         (21, 4, 1, 1, 1),  # two edits from 21 positions: the pool path's edge
         (20, 4, 1, 1, 2),  # two gaps from 22: the set path's edge
         (5, 4, 1, 1, 2),

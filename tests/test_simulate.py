@@ -105,3 +105,45 @@ def test_fixed_seed_histograms_above_ten_symbols():
     }
     assert indels.failures == subs.failures == 0
     assert indels.wrong_decodes == subs.wrong_decodes == 0
+
+
+# run_sim at seed 13, recorded before reads were counted from their draws:
+# a faster read must not change a single trial.  Rows: the sim_heavy_q4 and
+# sim_light_q4 benchmark rows, one row each at q = 5 and q = 13, and a read
+# cap that makes most trials fail.
+PINNED_RUNS = [
+    ((4, 20, 1, 1, 1, 12, None), {
+        79: 1, 165: 1, 190: 1, 227: 1, 228: 1, 262: 1, 292: 1, 310: 1, 331: 1, 358: 1, 1024: 1, 2434: 1
+    }, 0),
+    ((4, 100, 1, 1, 1, 12, None), {
+        112: 1, 119: 1, 151: 1, 165: 1, 217: 1, 283: 1, 327: 1, 345: 1, 347: 1, 459: 1, 514: 1, 539: 1
+    }, 0),
+    ((4, 200, 1, 1, 1, 12, None), {
+        110: 1, 150: 1, 164: 1, 197: 1, 200: 1, 205: 1, 235: 1, 258: 1, 259: 1, 271: 1, 369: 1, 559: 1
+    }, 0),
+    ((4, 100, 0, 0, 1, 20, None), {5: 8, 6: 2, 7: 4, 11: 1, 12: 3, 13: 1, 15: 1}, 0),
+    ((4, 100, 0, 1, 1, 20, None), {
+        11: 1, 13: 1, 16: 2, 18: 1, 19: 2, 20: 1, 21: 1, 23: 2, 27: 2, 28: 3, 30: 2, 35: 1, 45: 1
+    }, 0),
+    ((4, 100, 0, 0, 2, 20, None), {
+        11: 1, 12: 1, 13: 1, 15: 1, 17: 1, 20: 1, 21: 1, 23: 1, 27: 1, 32: 3, 33: 1, 35: 1, 47: 1,
+        53: 1, 56: 1, 66: 1, 74: 1, 83: 1,
+    }, 0),
+    ((5, 60, 1, 1, 1, 8, None), {97: 1, 181: 1, 227: 1, 289: 1, 408: 1, 546: 1, 554: 1, 604: 1}, 0),
+    ((13, 40, 0, 1, 1, 12, None), {
+        21: 1, 23: 1, 25: 1, 27: 1, 28: 2, 30: 1, 33: 1, 34: 1, 36: 1, 41: 1, 46: 1
+    }, 0),
+    ((4, 20, 1, 1, 1, 12, 200), {79: 1, 165: 1, 190: 1}, 9),
+]
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("row, histogram, failures", PINNED_RUNS)
+def test_fixed_seed_histograms_are_pinned(row, histogram, failures):
+    q, n, ts, td, ti, samples, cap = row
+    res = run_sim(
+        SimSpec(q=q, n=n, t_sub=ts, t_del=td, t_ins=ti, samples=samples, seed=13, max_reads=cap)
+    )
+    assert res.histogram == histogram
+    assert res.failures == failures
+    assert res.wrong_decodes == 0
