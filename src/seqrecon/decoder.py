@@ -22,14 +22,15 @@ draws of a PatternSampler instead and counts them in O(t)
 at the first decision, at the end of the stream or at DecoderConfig.read_cap
 reads.
 
-A read pays for what it changes.  Frontier.update skips the slots anchored at
-a symbol the new output holds too many of to displace any of them, and marks
-the anchor triples of every slot whose stored counts changed; the certificate
-scan checks only those, since the check reads stored counts alone.  The
-slots and anchor triples of each q are tabulated once per process
-(_slot_table).  The merge that rebuilds the word makes four fixed tests a
-round, one per class of symbol, of which at most one can match
-(reconstruction_steps); its tables are built once per anchor triple.
+A read pays for what it changes.  Frontier.update skips the pair slots and,
+apart, the triple slots anchored at a symbol the new output holds too many
+of to displace any of them, and marks the anchor triples of every slot whose
+stored counts changed; the certificate scan checks only those, since the
+check reads the counts each slot stores.  The slots and anchor triples of
+each q are tabulated once per process (_slot_table).  The merge that
+rebuilds the word makes four fixed tests a round, one per class of symbol,
+of which at most one can match (reconstruction_steps); its tables are built
+once per anchor triple.
 """
 
 from __future__ import annotations
@@ -83,11 +84,18 @@ class DecoderConfig:
         if self.max_reads is not None and self.max_reads < 1:
             raise ValueError("max_reads must be positive")
 
-    @property
+    @functools.cached_property
     def count_swing(self) -> int:
         """Maximal gap between one symbol's counts in two outputs of the same
-        word: t_del + t_ins + 2 t_sub."""
+        word: t_del + t_ins + 2 t_sub.  Computed once per config, since push
+        and find_certificate read it on every read."""
         return self.t_del + self.t_ins + 2 * self.t_sub
+
+    @functools.cached_property
+    def output_lengths(self) -> range:
+        """The lengths an output can have: n - t_del to n + t_ins.  Computed
+        once per config, like count_swing."""
+        return range(self.n - self.t_del, self.n + self.t_ins + 1)
 
     @property
     def read_cap(self) -> int:
@@ -165,13 +173,16 @@ class Frontier:
     no recount and never read a word.
 
     The slots anchored at a symbol a, (a, b) and (a, b, c), form its group.
-    `_gate[a]` is the largest M_a stored in a's group: an output with more
-    a's than that displaces none of them, ties included, so update() skips
-    the group.  `pending` holds the indices, in the table's lexicographic
-    anchor order, of the anchor triples that use a slot whose stored counts
-    changed; the first output changes every slot.
-    find_certificate() checks only those, and the caller clears the set
-    after a scan that found nothing.
+    `_pair_gate[a]` is the largest M_a stored in its pair slots and
+    `_tri_gate[a]` the largest in its triple slots: an output with more a's
+    than a gate displaces none of those slots, ties included, so update()
+    skips them.  `_gate[a]`, the larger of the two, is tested first, so a
+    symbol that passes neither costs one test.  `pending` holds the indices,
+    in the table's lexicographic anchor order, of the anchor triples that
+    use a slot whose stored counts changed; the first output changes every
+    slot and marks every anchor triple at once.  find_certificate() checks
+    only those, and the caller clears the set after a scan that found
+    nothing.
     """
 
     __slots__ = (
@@ -186,6 +197,8 @@ class Frontier:
         "_tri_ma",
         "_tri_out",
         "_gate",
+        "_pair_gate",
+        "_tri_gate",
         "pending",
     )
 
@@ -205,6 +218,8 @@ class Frontier:
         self._tri_ma = [math.inf] * nt
         self._tri_out = [-1] * nt
         self._gate = [math.inf] * q
+        self._pair_gate = [math.inf] * q
+        self._tri_gate = [math.inf] * q
         self.pending: set[int] = set()
 
     def update(self, token, counts: tuple[int, ...], length: int) -> None:
@@ -213,40 +228,50 @@ class Frontier:
         stored counts changed (a token swap with identical counts is no
         change)."""
         table = self._table
-        gate, pending = self._gate, self.pending
+        gate, pair_gate, tri_gate, pending = self._gate, self._pair_gate, self._tri_gate, self.pending
         pma, pmb = self._pair_ma, self._pair_mb
         pword, pcounts, pair_anchors = self._pair_word, self._pair_counts, table.pair_anchors
         tma, tout = self._tri_ma, self._tri_out
         tword, tcounts, tri_anchors = self._tri_word, self._tri_counts, table.tri_anchors
+        if pcounts[0] is None:
+            # The first output enters every slot: mark every anchor triple at
+            # once, and store its counts first so that no slot marks its own.
+            pending.update(range(len(table.anchors)))
+            pcounts[:] = [counts] * len(pcounts)
+            tcounts[:] = [counts] * len(tcounts)
         for a, ca in enumerate(counts):
             if ca > gate[a]:
                 continue
-            lowered = False
-            for k, b in table.pair_groups[a]:
-                if ca <= pma[k] and counts[b] >= pmb[k]:
-                    if pcounts[k] != counts:
-                        pending.update(pair_anchors[k])
-                    lowered = lowered or ca < pma[k]
-                    pword[k] = token
-                    pcounts[k] = counts
-                    pma[k] = ca
-                    pmb[k] = counts[b]
-            rest = length - ca
-            for k, b, c in table.tri_groups[a]:
-                out = rest - counts[b] - counts[c]
-                if ca <= tma[k] and out >= tout[k]:
-                    if tcounts[k] != counts:
-                        pending.update(tri_anchors[k])
-                    lowered = lowered or ca < tma[k]
-                    tword[k] = token
-                    tcounts[k] = counts
-                    tma[k] = ca
-                    tout[k] = out
-            if lowered:
-                gate[a] = max(
-                    max(pma[k] for k, _ in table.pair_groups[a]),
-                    max(tma[k] for k, _, _ in table.tri_groups[a]),
-                )
+            if ca <= pair_gate[a]:
+                lowered = False
+                for k, b in table.pair_groups[a]:
+                    if ca <= pma[k] and counts[b] >= pmb[k]:
+                        if pcounts[k] != counts:
+                            pending.update(pair_anchors[k])
+                        lowered = lowered or ca < pma[k]
+                        pword[k] = token
+                        pcounts[k] = counts
+                        pma[k] = ca
+                        pmb[k] = counts[b]
+                if lowered:
+                    pair_gate[a] = max([pma[k] for k, _ in table.pair_groups[a]])
+                    gate[a] = max(pair_gate[a], tri_gate[a])
+            if ca <= tri_gate[a]:
+                lowered = False
+                rest = length - ca
+                for k, b, c in table.tri_groups[a]:
+                    out = rest - counts[b] - counts[c]
+                    if ca <= tma[k] and out >= tout[k]:
+                        if tcounts[k] != counts:
+                            pending.update(tri_anchors[k])
+                        lowered = lowered or ca < tma[k]
+                        tword[k] = token
+                        tcounts[k] = counts
+                        tma[k] = ca
+                        tout[k] = out
+                if lowered:
+                    tri_gate[a] = max([tma[k] for k, _, _ in table.tri_groups[a]])
+                    gate[a] = max(pair_gate[a], tri_gate[a])
 
     def get_pair(self, a: int, b: int):
         """(stored token, M_a, M_b) for slot (a, b)."""
@@ -287,19 +312,23 @@ def find_certificate(frontier: Frontier, cfg: DecoderConfig) -> Certificate | No
     swing = cfg.count_swing
     grow = cfg.t_ins + cfg.t_sub
     anchors = frontier._table.anchors
-    pc, pw = frontier._pair_counts, frontier._pair_word
-    tc, tw, tout = frontier._tri_counts, frontier._tri_word, frontier._tri_out
+    pma, pmb, pc, pw = frontier._pair_ma, frontier._pair_mb, frontier._pair_counts, frontier._pair_word
+    tma, tout, tw = frontier._tri_ma, frontier._tri_out, frontier._tri_word
+    # Each count compared is a stored scalar: pair slot k1 = (s3, s1) stores
+    # M_s3 in pma and M_s1 in pmb, k2 = (s1, s2) M_s1 and M_s2, k3 = (s2, s3)
+    # M_s2 and M_s3; triple slots k4, k5, k6 store M_s1, M_s2, M_s3 in tma.
     for i in sorted(frontier.pending):
         s1, s2, s3, k1, k2, k3, k4, k5, k6 = anchors[i]
-        c1, c2 = pc[k1], pc[k2]
-        if c1[s1] != c2[s1] + swing:
+        m2 = pma[k2]
+        if pmb[k1] != m2 + swing:
             continue
-        c3 = pc[k3]
-        if c2[s2] != c3[s2] + swing or c3[s3] != c1[s3] + swing:
+        m3, m1 = pma[k3], pma[k1]
+        if pmb[k2] != m3 + swing or pmb[k3] != m1 + swing:
             continue
-        if c2[s1] != tc[k4][s1] or c3[s2] != tc[k5][s2] or c1[s3] != tc[k6][s3]:
+        if m2 != tma[k4] or m3 != tma[k5] or m1 != tma[k6]:
             continue
-        target = sum(c1) - c1[s1] - c1[s2] - c1[s3] + grow
+        c1 = pc[k1]
+        target = sum(c1) - pmb[k1] - c1[s2] - m1 + grow
         if tout[k4] == target and tout[k5] == target and tout[k6] == target:
             return Certificate((s1, s2, s3), (pw[k1], pw[k2], pw[k3], tw[k4], tw[k5], tw[k6]))
     return None
@@ -431,7 +460,7 @@ class StreamDecoder:
         cfg = self.cfg
         self.reads += 1
         token, counts, length = self.outputs.read(y)
-        if not cfg.n - cfg.t_del <= length <= cfg.n + cfg.t_ins:
+        if length not in cfg.output_lengths:
             raise ValueError(
                 f"output length {length} outside [{cfg.n - cfg.t_del}, {cfg.n + cfg.t_ins}]"
             )

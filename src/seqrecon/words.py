@@ -14,6 +14,7 @@ when asked for.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Iterable, Iterator
 
@@ -31,6 +32,15 @@ def _check_alphabet_size(q: int) -> None:
 
 def _to_symbols(raw: str) -> tuple[int, ...]:
     return tuple([ord(c) - _OFFSET for c in raw])
+
+
+def _ascii_symbols_only(text: str, q: int) -> bool:
+    """Whether text is ASCII and holds only symbols of the q alphabet in raw
+    form: one bytes pass that deletes them must leave nothing.  isascii()
+    comes first because text read with surrogateescape may hold a lone
+    surrogate, which cannot be encoded.  Above q = 79 some symbols are not
+    ASCII, so a False here leaves the caller its per-symbol path."""
+    return text.isascii() and not text.encode().translate(None, alphabet(q).encode())
 
 
 class Word:
@@ -70,7 +80,7 @@ class Word:
     def parse(cls, text: str, q: int) -> "Word":
         """Parse the text form for alphabet q (see class docstring)."""
         text = text.strip()
-        if text == "" or (q <= 10 and not text.strip(alphabet(q))):
+        if text == "" or (q <= 10 and _ascii_symbols_only(text, q)):
             return cls._of_raw(text, q)  # empty, or only alphabet digits: the raw form
         if q <= 10 and "," not in text:
             try:
@@ -84,8 +94,8 @@ class Word:
     @classmethod
     def from_raw(cls, raw: str, q: int) -> "Word":
         """The word held in raw form (see the module docstring)."""
-        if raw.strip(alphabet(q)):
-            return cls(_to_symbols(raw), q)  # raises on the symbol outside the alphabet
+        if not _ascii_symbols_only(raw, q):
+            return cls(_to_symbols(raw), q)  # raises on a symbol outside the alphabet
         return cls._of_raw(raw, q)
 
     @property
@@ -119,6 +129,7 @@ class Word:
         return f"Word({self.text!r}, q={self.q})"
 
 
+@functools.lru_cache(maxsize=64)
 def alphabet(q: int) -> str:
     """The q symbols in raw form, in symbol order."""
     return _to_raw(range(q))

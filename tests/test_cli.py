@@ -401,6 +401,22 @@ def test_decode_stdout_comma_form_above_ten_symbols(capsys, tmp_path):
     assert (code, out) == (1, '{"error": "symbol 12 outside alphabet [0, 11]", "hypothesis_ok": false}\n')
 
 
+def test_decode_stdout_q8_certificate(capsys, tmp_path):
+    # Pins the anchors and words of the first certificate the scan finds, so
+    # a change of slot entry or scan order shows.
+    rng = random.Random(8)
+    x = Word([rng.randrange(8) for _ in range(20)], 8)
+    sampler = PatternSampler(20, 8, 1, 1, 1)
+    lines = [apply_pattern(x, sampler.sample(rng, x)).text for _ in range(1100)]
+    args = ("decode", "--q", "8", "--n", "20", "--ts", "1", "--td", "1", "--ti", "1")
+    assert decode_lines(capsys, tmp_path, lines, args) == (0, (
+        '{"certificate": {"anchors": [0, 1, 3], "words": ["35623012306077706761", '
+        '"35623112336777167361", "35623023360377767363", "35623212336777667361", '
+        '"35262306233607776736", "35625012360577767361"]}, "reads_consumed": 1034, '
+        '"result": "35623012336077767361"}\n'
+    ))
+
+
 def test_decode_stops_before_parsing_past_the_read_cap(capsys, tmp_path):
     lines = [FIX_ROWS[0], FIX_ROWS[1], "12003x1021", *FIX_ROWS[3:]]
     code, out = decode_lines(capsys, tmp_path, lines, DECODE_FIX + ("--max-reads", "2"))

@@ -79,6 +79,17 @@ def test_frontier_initialises_from_first_word():
     assert word == "0123" and ma == 1 and mout == 1
 
 
+@pytest.mark.parametrize("q, y", [(4, "0123012301"), (8, "0123456701")])
+def test_first_push_marks_every_anchor_triple(q, y):
+    dec = StreamDecoder(DecoderConfig(q, 10, 1, 1, 1))
+    assert dec.push(y) is None
+    ref = _ReferenceFrontier(q)
+    ref.offer(y)
+    assert dec.frontier.pending == set(range(len(dec.frontier._table.anchors)))
+    assert _stored_slots(dec.frontier) == (ref.pairs, ref.triples)
+    _assert_gates(dec.frontier)
+
+
 def test_frontier_displacement_rules():
     f = Frontier(4)
     offer(f, "0123")
@@ -364,14 +375,38 @@ def _stored_slots(frontier):
     return pairs, triples
 
 
-@pytest.mark.parametrize("q, reads", [(4, 600), (5, 600), (8, 200), (12, 50)])
+def _assert_gates(frontier):
+    # Each kind's gate is the largest M_a of its kind in a's group, and the
+    # gate tested first is the larger of the two.
+    table = frontier._table
+    for a in range(frontier.q):
+        pair = max(frontier._pair_ma[k] for k, _ in table.pair_groups[a])
+        tri = max(frontier._tri_ma[k] for k, _, _ in table.tri_groups[a])
+        assert (frontier._pair_gate[a], frontier._tri_gate[a], frontier._gate[a]) == (pair, tri, max(pair, tri))
+
+
+def _gates_passed(frontier, y):
+    """(pair gate passed, triple gate passed) for each symbol of y whose
+    count passes the gate tested first."""
+    counts = symbol_counts(y, alphabet(frontier.q))
+    return {
+        (ca <= frontier._pair_gate[a], ca <= frontier._tri_gate[a])
+        for a, ca in enumerate(counts)
+        if ca <= frontier._gate[a]
+    }
+
+
+@pytest.mark.parametrize(
+    "q, n, reads",
+    [(4, 12, 600), (5, 12, 600), (8, 12, 200), (12, 12, 50), (8, 40, 1000)],
+    ids=["4-600", "5-600", "8-200", "12-50", "8-n40-1000"],
+)
 @pytest.mark.parametrize("budgets", [(1, 1, 1), (0, 1, 2), (2, 1, 1)])
-def test_incremental_decoder_matches_full_scan_and_ungated_update(q, reads, budgets):
+def test_incremental_decoder_matches_full_scan_and_ungated_update(q, n, reads, budgets):
     # After every push the gated frontier holds what the ungated one holds,
-    # and the scan of pending anchor triples finds what a scan of all of them
-    # finds: on a seeded stream and on the adversarial orders of
-    # test_las_vegas_on_adversarial_orders.
-    n = 12
+    # its gates are the maxima they stand for, and the scan of pending anchor
+    # triples finds what a scan of all of them finds: on a seeded stream and
+    # on the adversarial orders of test_las_vegas_on_adversarial_orders.
     cfg = DecoderConfig(q, n, *budgets)
     sampler = PatternSampler(n, q, *budgets)
     rng = random.Random(f"incremental:{q}:{budgets}")
@@ -385,13 +420,16 @@ def test_incremental_decoder_matches_full_scan_and_ungated_update(q, reads, budg
         sorted(outs, key=lambda y: _max_count_shift(y, x)),
     ]
     decoded = 0
+    passed = set()
     for order in orders:
         dec = StreamDecoder(cfg)
         ref = _ReferenceFrontier(q)
         for y in order:
+            passed |= _gates_passed(dec.frontier, y)
             got = dec.push(y)
             ref.offer(y)
             assert _stored_slots(dec.frontier) == (ref.pairs, ref.triples)
+            _assert_gates(dec.frontier)
             expected = ref.certificate(cfg)
             if got is not None:
                 assert dec.certificate == expected
@@ -401,6 +439,9 @@ def test_incremental_decoder_matches_full_scan_and_ungated_update(q, reads, budg
             assert find_certificate(dec.frontier, cfg) == expected
     if budgets == (0, 1, 2) and q <= 8 or (q, budgets) == (4, (1, 1, 1)):
         assert decoded == len(orders)
+    if (n, budgets) == (40, (1, 1, 1)):
+        # On this long q=8 stream some symbols pass one kind's gate only.
+        assert {(True, False), (False, True)} <= passed
 
 
 

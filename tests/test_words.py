@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -149,6 +150,59 @@ def test_parse_blank_crlf_and_unicode_digits(text, q, symbols):
     assert w == Word(symbols, q)
     assert w.symbols == symbols
     assert w.raw == "".join(chr(48 + s) for s in symbols)
+
+
+def _reference_parse(text, q):
+    """Word.parse with its earlier raw-form rule: the stripped text is the
+    raw form when str.strip of the alphabet's characters leaves nothing."""
+    text = text.strip()
+    if text == "" or (q <= 10 and not text.strip("".join(chr(48 + s) for s in range(q)))):
+        return Word._of_raw(text, q)
+    if q <= 10 and "," not in text:
+        try:
+            syms = tuple(int(c) for c in text)
+        except ValueError:
+            raise ValueError(f"bad word text {text!r} for q={q}") from None
+    else:
+        syms = tuple(int(part) for part in text.split(","))
+    return Word(syms, q)
+
+
+def _reference_from_raw(raw, q):
+    """Word.from_raw with its earlier str.strip rule."""
+    if raw.strip("".join(chr(48 + s) for s in range(q))):
+        return Word([ord(c) - 48 for c in raw], q)
+    return Word._of_raw(raw, q)
+
+
+def _parse_outcome(parse, text, q):
+    try:
+        word = parse(text, q)
+    except ValueError as exc:
+        return "error", str(exc)
+    return word.raw, word.q
+
+
+def test_parse_accepts_exactly_what_the_strip_rule_accepted():
+    # The one-pass bytes check takes the raw-form path on exactly the texts
+    # the str.strip rule took it on, so every text parses to the same word
+    # or fails with the same message, for every q including q < 2; and
+    # from_raw, which shares the check, gives the same word or message too,
+    # also at q = 90, where some symbols are not ASCII.
+    pool = "0123456789:;,- \t\r\n+_x٣１\udcff"  # a lone surrogate, as surrogateescape reads a bad byte
+    rng = random.Random(14)
+    texts = ["".join(rng.choices(pool, k=rng.randrange(8))) for _ in range(3000)]
+    texts += ["٣", "１", "12٣", "１2", "0 1", "0\t1", "1,2", ",", "1,", "", " ", "\r\n", " \t "]
+    for q in range(13):
+        edge = [chr(48 + q), "0" + chr(48 + q), chr(47), "0" * q]
+        for text in texts + edge:
+            assert _parse_outcome(Word.parse, text, q) == _parse_outcome(_reference_parse, text, q), (text, q)
+    for q in (*range(13), 90):
+        for text in texts + [chr(48 + 85) + "0", chr(48 + 90)]:
+            assert _parse_outcome(Word.from_raw, text, q) == _parse_outcome(_reference_from_raw, text, q), (text, q)
+    for q in (-1, 0, 1):
+        for text in ("", "0", "  ", "1"):
+            assert _parse_outcome(Word.parse, text, q) == ("error", f"alphabet size must be >= 2, got {q}")
 
 
 def test_from_raw_rejects_symbols_outside_alphabet():
