@@ -8,6 +8,7 @@ rational) so the ceiling never flips from rounding.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -44,9 +45,12 @@ class CodeParams:
         return self.p if self.p is not None else DEFAULT_RARITY
 
 
+@functools.lru_cache(maxsize=256)
 def top_two_threshold(params: CodeParams) -> int:
     """ceil((p-1) * n / p): a word is excluded when its two most common
-    symbols together reach this many positions."""
+    symbols together reach this many positions.  Cached per (q, n, p):
+    run_sim asks for it on every call, and the exact arithmetic on the
+    default p's 50-digit rational costs several times the cache lookup."""
     p = params.rarity
     return math.ceil((p - 1) * params.n / p)
 

@@ -27,10 +27,13 @@ apart, the triple slots anchored at a symbol the new output holds too many
 of to displace any of them, and marks the anchor triples of every slot whose
 stored counts changed; the certificate scan checks only those, since the
 check reads the counts each slot stores.  The slots and anchor triples of
-each q are tabulated once per process (_slot_table).  The merge that
-rebuilds the word makes four fixed tests a round, one per class of symbol,
-of which at most one can match (reconstruction_steps); its tables are built
-once per anchor triple.
+each q are tabulated once per process (_slot_table), with one index over
+all slots, and each distinct slot is stored once: at q = 4 the count
+outside {a, b, c} is the count of the fourth symbol d, so triple slot
+(a, {b, c}) takes pair slot (a, d)'s rule and always holds the same output,
+and the table maps it there.  The merge that rebuilds the word makes four
+fixed tests a round, one per class of symbol, of which at most one can
+match (reconstruction_steps); its tables are built once per anchor triple.
 """
 
 from __future__ import annotations
@@ -111,53 +114,56 @@ class _SlotTable(NamedTuple):
     """The slots and anchor triples of one alphabet size, shared by every
     Frontier of that size (see _slot_table)."""
 
-    pair_keys: list  # (a, b), grouped by a
-    tri_keys: list  # (a, b, c) with b < c, grouped by a
-    pair_index: dict
-    tri_index: dict
+    pair_index: dict  # (a, b) -> slot, grouped by a
+    tri_index: dict  # (a, b, c) with b < c -> slot, grouped by a; a pair slot at q = 4
     pair_groups: tuple  # per symbol a: ((slot, b), ...) of the pair slots (a, b)
-    tri_groups: tuple  # per symbol a: ((slot, b, c), ...) of the triple slots (a, b, c)
+    tri_groups: tuple  # per symbol a: ((slot, b, c), ...) of the triple slots of its own
     anchors: tuple  # (s1, s2, s3, k1, ..., k6) per permutation, in lexicographic order
-    pair_anchors: tuple  # per pair slot: indices into anchors of the triples using it
-    tri_anchors: tuple  # per triple slot: the same
+    slot_anchors: tuple  # per slot: indices into anchors of the triples using it
 
 
 @functools.lru_cache(maxsize=16)
 def _slot_table(q: int) -> _SlotTable:
     symbols = range(q)
-    pair_keys = [(a, b) for a in symbols for b in symbols if a != b]
-    tri_keys = [
-        (a, b, c)
-        for a in symbols
-        for b, c in itertools.combinations((s for s in symbols if s != a), 2)
-    ]
-    pair_index = {key: k for k, key in enumerate(pair_keys)}
-    tri_index = {key: k for k, key in enumerate(tri_keys)}
+    pair_index = {key: k for k, key in enumerate(itertools.permutations(symbols, 2))}
+    tri_index = {}
+    tri_groups = [[] for _ in symbols]
+    size = len(pair_index)
+    for a in symbols:
+        for b, c in itertools.combinations((s for s in symbols if s != a), 2):
+            outside = [d for d in symbols if d not in (a, b, c)]
+            if len(outside) == 1:
+                # The count outside {a, b, c} is M_d: pair slot (a, d)'s rule.
+                tri_index[(a, b, c)] = pair_index[(a, outside[0])]
+            else:
+                tri_index[(a, b, c)] = size
+                tri_groups[a].append((size, b, c))
+                size += 1
 
     def tri(a, b, c):
         return tri_index[(a, min(b, c), max(b, c))]
 
     anchors = []
-    pair_anchors = [[] for _ in pair_keys]
-    tri_anchors = [[] for _ in tri_keys]
+    slot_anchors = [[] for _ in range(size)]
     for i, (s1, s2, s3) in enumerate(itertools.permutations(symbols, 3)):
-        pairs = (pair_index[(s3, s1)], pair_index[(s1, s2)], pair_index[(s2, s3)])
-        triples = (tri(s1, s2, s3), tri(s2, s1, s3), tri(s3, s1, s2))
-        anchors.append((s1, s2, s3) + pairs + triples)
-        for k in pairs:
-            pair_anchors[k].append(i)
-        for k in triples:
-            tri_anchors[k].append(i)
+        slots = (
+            pair_index[(s3, s1)],
+            pair_index[(s1, s2)],
+            pair_index[(s2, s3)],
+            tri(s1, s2, s3),
+            tri(s2, s1, s3),
+            tri(s3, s1, s2),
+        )
+        anchors.append((s1, s2, s3) + slots)
+        for k in slots:
+            slot_anchors[k].append(i)
     return _SlotTable(
-        pair_keys,
-        tri_keys,
         pair_index,
         tri_index,
-        tuple(tuple((k, b) for k, (x, b) in enumerate(pair_keys) if x == a) for a in symbols),
-        tuple(tuple((k, b, c) for k, (x, b, c) in enumerate(tri_keys) if x == a) for a in symbols),
+        tuple(tuple((k, b) for (x, b), k in pair_index.items() if x == a) for a in symbols),
+        tuple(map(tuple, tri_groups)),
         tuple(anchors),
-        tuple(map(tuple, pair_anchors)),
-        tuple(map(tuple, tri_anchors)),
+        tuple(map(tuple, slot_anchors)),
     )
 
 
@@ -169,33 +175,36 @@ class Frontier:
     uses M_a and the count outside {a, b, c}.  Ties displace.  The (a, b, c)
     rule is symmetric in b, c so those slots are stored once per unordered
     {b, c} and looked up under any order.  A slot stores the output's token
-    (see StreamDecoder) with its symbol counts, so certificate checks need
-    no recount and never read a word.
+    (see StreamDecoder) with its symbol counts, its M_a and its second score
+    (M_b, or the count outside), so certificate checks need no recount and
+    never read a word.
 
-    The slots anchored at a symbol a, (a, b) and (a, b, c), form its group.
-    `_pair_gate[a]` is the largest M_a stored in its pair slots and
-    `_tri_gate[a]` the largest in its triple slots: an output with more a's
-    than a gate displaces none of those slots, ties included, so update()
-    skips them.  `_gate[a]`, the larger of the two, is tested first, so a
-    symbol that passes neither costs one test.  `pending` holds the indices,
-    in the table's lexicographic anchor order, of the anchor triples that
-    use a slot whose stored counts changed; the first output changes every
-    slot and marks every anchor triple at once.  find_certificate() checks
-    only those, and the caller clears the set after a scan that found
-    nothing.
+    Every slot has one index into the same four lists, pair slots first.  At
+    q = 4 the count outside {a, b, c} is M_d, d the fourth symbol, so slot
+    (a, b, c) takes pair slot (a, d)'s rule from the same first output and
+    always holds what (a, d) holds: the table maps the key to that pair slot
+    and gives it no slot of its own.
+
+    The slots anchored at a symbol a, (a, b) and its own (a, b, c), form its
+    group.  `_pair_gate[a]` is the largest M_a stored in its pair slots and
+    `_tri_gate[a]` the largest in its own triple slots, or -1 when it has
+    none (q = 4): an output with more a's than a gate displaces none of
+    those slots, ties included, so update() skips them.  `_gate[a]`, the
+    larger of the two, is tested first, so a symbol that passes neither
+    costs one test.  `pending` holds the indices, in the table's
+    lexicographic anchor order, of the anchor triples that use a slot whose
+    stored counts changed; the first output changes every slot and marks
+    every anchor triple at once.  find_certificate() checks only those, and
+    the caller clears the set after a scan that found nothing.
     """
 
     __slots__ = (
         "q",
         "_table",
-        "_pair_word",
-        "_pair_counts",
-        "_pair_ma",
-        "_pair_mb",
-        "_tri_word",
-        "_tri_counts",
-        "_tri_ma",
-        "_tri_out",
+        "_word",
+        "_counts",
+        "_ma",
+        "_mb",
         "_gate",
         "_pair_gate",
         "_tri_gate",
@@ -207,19 +216,15 @@ class Frontier:
             raise ValueError(f"requires q >= 4, got q={q}")
         self.q = q
         self._table = table = _slot_table(q)
-        np, nt = len(table.pair_keys), len(table.tri_keys)
+        size = len(table.slot_anchors)
         # Bounds that the first output beats in every slot.
-        self._pair_word = [None] * np
-        self._pair_counts = [None] * np
-        self._pair_ma = [math.inf] * np
-        self._pair_mb = [-1] * np
-        self._tri_word = [None] * nt
-        self._tri_counts = [None] * nt
-        self._tri_ma = [math.inf] * nt
-        self._tri_out = [-1] * nt
+        self._word = [None] * size
+        self._counts = [None] * size
+        self._ma = [math.inf] * size
+        self._mb = [-1] * size
         self._gate = [math.inf] * q
         self._pair_gate = [math.inf] * q
-        self._tri_gate = [math.inf] * q
+        self._tri_gate = [math.inf if table.tri_groups[0] else -1] * q
         self.pending: set[int] = set()
 
     def update(self, token, counts: tuple[int, ...], length: int) -> None:
@@ -229,59 +234,55 @@ class Frontier:
         change)."""
         table = self._table
         gate, pair_gate, tri_gate, pending = self._gate, self._pair_gate, self._tri_gate, self.pending
-        pma, pmb = self._pair_ma, self._pair_mb
-        pword, pcounts, pair_anchors = self._pair_word, self._pair_counts, table.pair_anchors
-        tma, tout = self._tri_ma, self._tri_out
-        tword, tcounts, tri_anchors = self._tri_word, self._tri_counts, table.tri_anchors
-        if pcounts[0] is None:
+        words, stored, ma, mb, slot_anchors = self._word, self._counts, self._ma, self._mb, table.slot_anchors
+        if stored[0] is None:
             # The first output enters every slot: mark every anchor triple at
             # once, and store its counts first so that no slot marks its own.
             pending.update(range(len(table.anchors)))
-            pcounts[:] = [counts] * len(pcounts)
-            tcounts[:] = [counts] * len(tcounts)
+            stored[:] = [counts] * len(stored)
         for a, ca in enumerate(counts):
             if ca > gate[a]:
                 continue
             if ca <= pair_gate[a]:
                 lowered = False
                 for k, b in table.pair_groups[a]:
-                    if ca <= pma[k] and counts[b] >= pmb[k]:
-                        if pcounts[k] != counts:
-                            pending.update(pair_anchors[k])
-                        lowered = lowered or ca < pma[k]
-                        pword[k] = token
-                        pcounts[k] = counts
-                        pma[k] = ca
-                        pmb[k] = counts[b]
+                    if ca <= ma[k] and counts[b] >= mb[k]:
+                        if stored[k] != counts:
+                            pending.update(slot_anchors[k])
+                        lowered = lowered or ca < ma[k]
+                        words[k] = token
+                        stored[k] = counts
+                        ma[k] = ca
+                        mb[k] = counts[b]
                 if lowered:
-                    pair_gate[a] = max([pma[k] for k, _ in table.pair_groups[a]])
+                    pair_gate[a] = max([ma[k] for k, _ in table.pair_groups[a]])
                     gate[a] = max(pair_gate[a], tri_gate[a])
             if ca <= tri_gate[a]:
                 lowered = False
                 rest = length - ca
                 for k, b, c in table.tri_groups[a]:
                     out = rest - counts[b] - counts[c]
-                    if ca <= tma[k] and out >= tout[k]:
-                        if tcounts[k] != counts:
-                            pending.update(tri_anchors[k])
-                        lowered = lowered or ca < tma[k]
-                        tword[k] = token
-                        tcounts[k] = counts
-                        tma[k] = ca
-                        tout[k] = out
+                    if ca <= ma[k] and out >= mb[k]:
+                        if stored[k] != counts:
+                            pending.update(slot_anchors[k])
+                        lowered = lowered or ca < ma[k]
+                        words[k] = token
+                        stored[k] = counts
+                        ma[k] = ca
+                        mb[k] = out
                 if lowered:
-                    tri_gate[a] = max([tma[k] for k, _, _ in table.tri_groups[a]])
+                    tri_gate[a] = max([ma[k] for k, _, _ in table.tri_groups[a]])
                     gate[a] = max(pair_gate[a], tri_gate[a])
 
     def get_pair(self, a: int, b: int):
         """(stored token, M_a, M_b) for slot (a, b)."""
         k = self._table.pair_index[(a, b)]
-        return self._pair_word[k], self._pair_ma[k], self._pair_mb[k]
+        return self._word[k], self._ma[k], self._mb[k]
 
     def get_triple(self, a: int, b: int, c: int):
         """(stored token, M_a, count outside {a,b,c}) for slot (a, b, c)."""
         k = self._table.tri_index[(a,) + tuple(sorted((b, c)))]
-        return self._tri_word[k], self._tri_ma[k], self._tri_out[k]
+        return self._word[k], self._ma[k], self._mb[k]
 
 
 @dataclass(frozen=True)
@@ -312,25 +313,25 @@ def find_certificate(frontier: Frontier, cfg: DecoderConfig) -> Certificate | No
     swing = cfg.count_swing
     grow = cfg.t_ins + cfg.t_sub
     anchors = frontier._table.anchors
-    pma, pmb, pc, pw = frontier._pair_ma, frontier._pair_mb, frontier._pair_counts, frontier._pair_word
-    tma, tout, tw = frontier._tri_ma, frontier._tri_out, frontier._tri_word
+    ma, mb, stored, words = frontier._ma, frontier._mb, frontier._counts, frontier._word
     # Each count compared is a stored scalar: pair slot k1 = (s3, s1) stores
-    # M_s3 in pma and M_s1 in pmb, k2 = (s1, s2) M_s1 and M_s2, k3 = (s2, s3)
-    # M_s2 and M_s3; triple slots k4, k5, k6 store M_s1, M_s2, M_s3 in tma.
+    # M_s3 in ma and M_s1 in mb, k2 = (s1, s2) M_s1 and M_s2, k3 = (s2, s3)
+    # M_s2 and M_s3; triple slots k4, k5, k6 store M_s1, M_s2, M_s3 in ma
+    # and the count outside the triple in mb.
     for i in sorted(frontier.pending):
         s1, s2, s3, k1, k2, k3, k4, k5, k6 = anchors[i]
-        m2 = pma[k2]
-        if pmb[k1] != m2 + swing:
+        m2 = ma[k2]
+        if mb[k1] != m2 + swing:
             continue
-        m3, m1 = pma[k3], pma[k1]
-        if pmb[k2] != m3 + swing or pmb[k3] != m1 + swing:
+        m3, m1 = ma[k3], ma[k1]
+        if mb[k2] != m3 + swing or mb[k3] != m1 + swing:
             continue
-        if m2 != tma[k4] or m3 != tma[k5] or m1 != tma[k6]:
+        if m2 != ma[k4] or m3 != ma[k5] or m1 != ma[k6]:
             continue
-        c1 = pc[k1]
-        target = sum(c1) - pmb[k1] - c1[s2] - m1 + grow
-        if tout[k4] == target and tout[k5] == target and tout[k6] == target:
-            return Certificate((s1, s2, s3), (pw[k1], pw[k2], pw[k3], tw[k4], tw[k5], tw[k6]))
+        c1 = stored[k1]
+        target = sum(c1) - mb[k1] - c1[s2] - m1 + grow
+        if mb[k4] == target and mb[k5] == target and mb[k6] == target:
+            return Certificate((s1, s2, s3), (words[k1], words[k2], words[k3], words[k4], words[k5], words[k6]))
     return None
 
 

@@ -267,9 +267,9 @@ def _sample_range(getrandbits, m: int, k: int) -> list[int]:
     """random.Random.sample(range(m), k), in selection order, through the same
     getrandbits calls.  Like the stdlib, it swap-removes from a pool of all m
     values when that list is smaller than a k-entry set, and otherwise redraws
-    any value already taken.  One or two picks, the shapes of one insertion
-    or of one deletion plus one substitution, make those calls without
-    building the pool or the set."""
+    any value already taken.  One or two picks, the shapes of one edit or of
+    one deletion plus one substitution, make those calls without building
+    the pool or the set."""
     setsize = 21
     if k == 1 or k == 2:
         bits = m.bit_length()
@@ -371,7 +371,10 @@ class PatternSampler:
         Returns (gaps, ins_symbols, del_positions, sub_positions, sub_offsets)
         with 0-based positions; substitution offsets are in [0, q-2] and index
         the replacement symbol among the q-1 symbols differing from the
-        original.
+        original.  The common shapes take short paths that make the same
+        generator calls: one insertion draws its gap and its symbol
+        directly, no edit returns at once, and a draw without substitutions
+        or without deletions sorts no empty slice and draws no offset.
         """
         n, q = self.n, self.q
         getrandbits = rng.getrandbits
@@ -384,7 +387,19 @@ class PatternSampler:
         for cum, total in self._ins_cum:
             if r < cum:
                 break
-        if total:
+        if total == 1:
+            # sample(range(n + 1), 1) is one randrange(n + 1): the gap.
+            m = n + 1
+            bits = m.bit_length()
+            j = getrandbits(bits)
+            while j >= m:
+                j = getrandbits(bits)
+            bits = q.bit_length()
+            s = getrandbits(bits)
+            while s >= q:
+                s = getrandbits(bits)
+            gaps, ins_symbols = (j,), (s,)
+        elif total:
             # Uniform gap multiset of size `total` over the n+1 gaps, via the
             # standard bijection with `total`-subsets of [0, n+total).
             chosen = sorted(_sample_range(getrandbits, n + total, total))
@@ -407,12 +422,14 @@ class PatternSampler:
         for cum, n_del, n_sub in self._edit_cum:
             if r < cum:
                 break
-        if n_del + n_sub:
-            picked = _sample_range(getrandbits, n, n_del + n_sub)
-            sub_positions = tuple(sorted(picked[:n_sub]))
-            del_positions = tuple(sorted(picked[n_sub:]))
-        else:
-            sub_positions = del_positions = ()
+        if not n_sub:
+            if not n_del:
+                return gaps, ins_symbols, (), (), ()
+            picked = _sample_range(getrandbits, n, n_del)
+            return gaps, ins_symbols, tuple(sorted(picked)), (), ()
+        picked = _sample_range(getrandbits, n, n_del + n_sub)
+        sub_positions = tuple(sorted(picked[:n_sub]))
+        del_positions = tuple(sorted(picked[n_sub:])) if n_del else ()
         offsets = []
         m = q - 1
         bits = m.bit_length()
@@ -421,8 +438,7 @@ class PatternSampler:
             while s >= m:
                 s = getrandbits(bits)
             offsets.append(s)
-        sub_offsets = tuple(offsets)
-        return gaps, ins_symbols, del_positions, sub_positions, sub_offsets
+        return gaps, ins_symbols, del_positions, sub_positions, tuple(offsets)
 
     def sample(self, rng: random.Random, x: Word | None = None) -> ErrorPattern:
         """Uniform ErrorPattern.  x is required when t_sub > 0 because the

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from seqrecon.codebook import (
+    DEFAULT_RARITY,
     CodeParams,
     code_size_lower_bound,
     excluded_count,
@@ -110,3 +112,15 @@ def test_rarity_override_shifts_threshold():
     assert code_size_lower_bound(bigger) > code_size_lower_bound(default)
     # p is stored exactly
     assert bigger.rarity == Fraction(12)
+
+
+@pytest.mark.parametrize("p", [None, Fraction(3)])
+def test_cached_threshold_equals_the_fraction_formula(p):
+    # top_two_threshold is cached per (q, n, p); the first call and the
+    # cached one both give the exact ceiling.
+    rarity = DEFAULT_RARITY if p is None else p
+    for n in range(1, 2001):
+        expected = math.ceil((rarity - 1) * n / rarity)
+        for q in (4, 7):
+            assert top_two_threshold(CodeParams(q=q, n=n, p=p)) == expected
+            assert top_two_threshold(CodeParams(q=q, n=n, p=p)) == expected

@@ -11,6 +11,7 @@ from seqrecon.decoder import (
     DecoderConfig,
     Frontier,
     StreamDecoder,
+    _slot_table,
     certificate_residues,
     decode_stream,
     find_certificate,
@@ -88,6 +89,43 @@ def test_first_push_marks_every_anchor_triple(q, y):
     assert dec.frontier.pending == set(range(len(dec.frontier._table.anchors)))
     assert _stored_slots(dec.frontier) == (ref.pairs, ref.triples)
     _assert_gates(dec.frontier)
+
+
+@pytest.mark.parametrize("q, pairs, triples", [(4, 12, 0), (5, 20, 30), (8, 56, 168)])
+def test_each_slot_is_stored_once(q, pairs, triples):
+    # q(q-1) pair slots, then the triple slots with an outside set of two or
+    # more symbols; at q = 4 every triple key is an alias of a pair slot.
+    table = _slot_table(q)
+    assert len(table.pair_index) == pairs
+    assert sum(map(len, table.tri_groups)) == triples
+    assert len(table.slot_anchors) == len(Frontier(q)._word) == pairs + triples
+    assert sorted(set(table.pair_index.values()) | set(table.tri_index.values())) == list(range(pairs + triples))
+    for i, (_, _, _, *slots) in enumerate(table.anchors):
+        assert len(set(slots)) == 6
+        assert all(i in table.slot_anchors[k] for k in slots)
+    for anchors in table.slot_anchors:
+        assert len(set(anchors)) == len(anchors)
+
+
+def test_q4_triple_slot_holds_what_pair_slot_of_the_fourth_symbol_holds():
+    # At q = 4 the count outside {a, b, c} is M_d, so triple slot (a, b, c)
+    # and pair slot (a, d) take the same rule.  The reference keeps them
+    # apart; after every push both agree with the shared slot.
+    n, budgets = 30, (1, 1, 1)
+    sampler = PatternSampler(n, 4, *budgets)
+    rng = random.Random("alias:4")
+    x = "".join(rng.choices(alphabet(4), k=n))
+    frontier, ref = Frontier(4), _ReferenceFrontier(4)
+    tri_keys = list(frontier._table.tri_index)
+    assert len(tri_keys) == 12
+    for _ in range(500):
+        y = sampler.apply_draw(sampler.draw(rng), x)
+        offer(frontier, y)
+        ref.offer(y)
+        for a, b, c in tri_keys:
+            (d,) = {0, 1, 2, 3} - {a, b, c}
+            assert frontier.get_triple(a, b, c) == frontier.get_pair(a, d)
+            assert ref.triples[(a, b, c)] == ref.pairs[(a, d)]
 
 
 def test_frontier_displacement_rules():
@@ -369,19 +407,24 @@ class _ReferenceFrontier:
 
 
 def _stored_slots(frontier):
+    # Every pair key and every triple key, read through the table's index,
+    # so a triple key that shares a pair slot is compared too.
     table = frontier._table
-    pairs = {key: (frontier._pair_word[k], frontier._pair_counts[k]) for k, key in enumerate(table.pair_keys)}
-    triples = {key: (frontier._tri_word[k], frontier._tri_counts[k]) for k, key in enumerate(table.tri_keys)}
+    pairs = {key: (frontier._word[k], frontier._counts[k]) for key, k in table.pair_index.items()}
+    triples = {key: (frontier._word[k], frontier._counts[k]) for key, k in table.tri_index.items()}
     return pairs, triples
 
 
 def _assert_gates(frontier):
     # Each kind's gate is the largest M_a of its kind in a's group, and the
-    # gate tested first is the larger of the two.
+    # gate tested first is the larger of the two.  At q = 4 no triple group
+    # exists, and the triple gate admits no count.
     table = frontier._table
+    if frontier.q == 4:
+        assert not any(table.tri_groups)
     for a in range(frontier.q):
-        pair = max(frontier._pair_ma[k] for k, _ in table.pair_groups[a])
-        tri = max(frontier._tri_ma[k] for k, _, _ in table.tri_groups[a])
+        pair = max(frontier._ma[k] for k, _ in table.pair_groups[a])
+        tri = max((frontier._ma[k] for k, _, _ in table.tri_groups[a]), default=-1)
         assert (frontier._pair_gate[a], frontier._tri_gate[a], frontier._gate[a]) == (pair, tri, max(pair, tri))
 
 

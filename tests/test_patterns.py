@@ -291,7 +291,12 @@ def _reference_draw(sampler, rng):
         (200, 4, 1, 1, 1),
         (40, 4, 4, 4, 6),  # more than 5 picks: pool path up to 85
         (100, 4, 4, 4, 1),  # more than 5 picks, set path
-        (10, 4, 0, 0, 0),  # both spaces hold one pattern
+        (10, 4, 0, 0, 0),  # both spaces hold one pattern: no insertion, no edit
+        (100, 4, 0, 1, 1),  # one insertion; edits without substitutions
+        (100, 4, 1, 0, 1),  # one insertion; edits without deletions
+        (30, 4, 0, 2, 1),  # two deletions without substitutions, sorted
+        (1, 4, 0, 0, 1),  # one insertion into a word of length 1: two gaps
+        (50, 5, 1, 1, 1),  # one insertion at q = 5: the symbol draw rejects
         (12, 2, 2, 1, 1),  # one replacement symbol: offsets range over [0, 1)
         (30, 13, 2, 1, 2),
     ],
