@@ -23,11 +23,7 @@ from .patterns import (
     InsertionVector,
     PatternSampler,
     SubstitutionPattern,
-    apply_deletion,
-    apply_insertion,
     apply_pattern,
-    enumerate_deletion_vectors,
-    enumerate_insertion_vectors,
     sample_pattern,
 )
 from .channels import ChannelModel, OutputCollection, transmit_all, transmit_random

@@ -9,19 +9,12 @@ set of distinct outputs (non-multiset model).
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from collections import Counter
 
-from .patterns import (
-    PatternSampler,
-    apply_deletion,
-    apply_insertion,
-    as_rng,
-    check_mode,
-    enumerate_deletion_vectors,
-    enumerate_insertion_vectors,
-)
-from .words import Word
+from .patterns import PatternSampler, as_rng, check_mode
+from .words import Word, alphabet
 
 ENUMERATION_LIMIT = 10_000_000  # most patterns enumerate_patterns builds on one word
 
@@ -101,6 +94,17 @@ class OutputCollection:
         counts = {Word.parse(item["word"], q): item["count"] for item in obj["items"]}
         return cls(obj["kind"], counts)
 
+    @classmethod
+    def of_raw(cls, kind: str, counts: dict[str, int], q: int, distinct_patterns: int | None = None):
+        """The collection of outputs counted in raw form: one Word per
+        distinct output."""
+        words = {Word.from_raw(y, q): c for y, c in counts.items()}
+        return cls(kind, words, distinct_patterns)
+
+
+def _sizes(t: int, mode: str):
+    return range(t + 1) if check_mode(mode) == "at_most" else (t,)
+
 
 def pattern_space_size(n: int, q: int, t: int, mode: str, error_type: str = "deletion") -> int:
     """Deletion or insertion patterns of size exactly t, or at most t, on a
@@ -117,21 +121,52 @@ def pattern_space_size(n: int, q: int, t: int, mode: str, error_type: str = "del
         size = lambda i: q**i * math.comb(n + i, i)
     else:
         raise ValueError(f"unknown error type {error_type!r}")
-    return sum(map(size, range(t + 1) if mode == "at_most" else (t,)))
+    return sum(map(size, _sizes(t, mode)))
+
+
+def deletion_sets(n: int, t: int, mode: str):
+    """The deleted 0-based positions of every deletion pattern of weight
+    exactly t, or at most t, on a word of length n: ascending weight, then
+    lexicographic.  Each is a draw's del_positions."""
+    return itertools.chain.from_iterable(itertools.combinations(range(n), w) for w in _sizes(t, mode))
+
+
+def _deletion_outputs(raw: str, t: int, mode: str):
+    for dropped in deletion_sets(len(raw), t, mode):
+        # The kept characters are the runs between the dropped positions.
+        runs, start = [], 0
+        for d in dropped:
+            runs.append(raw[start:d])
+            start = d + 1
+        runs.append(raw[start:])
+        yield ((), (), dropped, (), ()), "".join(runs)
+
+
+def _insertion_outputs(raw: str, q: int, t: int, mode: str):
+    symbols = alphabet(q)
+    for total in _sizes(t, mode):
+        for gaps in itertools.combinations_with_replacement(range(len(raw) + 1), total):
+            # Gap g sits after g original symbols: each inserted symbol
+            # follows the slice of x up to its gap.
+            heads = [raw[a:b] for a, b in zip((0,) + gaps, gaps)]
+            tail = raw[gaps[-1]:] if gaps else raw
+            for ins in itertools.product(range(q), repeat=total):
+                yield (gaps, ins, (), (), ()), "".join([h + symbols[s] for h, s in zip(heads, ins)]) + tail
 
 
 def enumerate_patterns(x: Word, t: int, mode: str, error_type: str = "deletion"):
-    """Lazily yield (vector, output) for every pattern of the given type and
-    budget on x.  Refuses, before building any, when there are more than
-    ENUMERATION_LIMIT."""
+    """Lazily yield (draw, output) for every pattern of the given type and
+    budget on x: the draw as PatternSampler.draw gives it, the output in raw
+    form.  Patterns come by ascending size, then deletion sets in
+    lexicographic order, or insertion gap multisets in lexicographic order
+    and then their symbols.  Refuses, before building any, when there are
+    more than ENUMERATION_LIMIT."""
     count = pattern_space_size(len(x), x.q, t, mode, error_type)
     if count > ENUMERATION_LIMIT:
         raise ValueError(f"{count} patterns exceed enumeration limit {ENUMERATION_LIMIT}")
     if error_type == "deletion":
-        vectors, apply = enumerate_deletion_vectors(len(x), t, mode), apply_deletion
-    else:
-        vectors, apply = enumerate_insertion_vectors(len(x), x.q, t, mode), apply_insertion
-    return ((v, apply(x, v)) for v in vectors)
+        return _deletion_outputs(x.raw, t, mode)
+    return _insertion_outputs(x.raw, x.q, t, mode)
 
 
 def transmit_all(
@@ -148,7 +183,7 @@ def transmit_all(
     outputs.  Refuses more than ENUMERATION_LIMIT patterns.
     """
     counts = Counter(y for _, y in enumerate_patterns(x, t, mode, error_type))
-    return OutputCollection(model.collection_kind, dict(counts), distinct_patterns=counts.total())
+    return OutputCollection.of_raw(model.collection_kind, counts, x.q, counts.total())
 
 
 def transmit_random(
@@ -176,7 +211,7 @@ def transmit_random(
             f"{sampler.pattern_space} distinct patterns"
         )
     rng = as_rng(rng_seed)
-    outputs: Counter[Word] = Counter()
+    outputs: Counter[str] = Counter()
     seen: set = set()
     distinct = 0
     for _ in range(n_channels):
@@ -187,5 +222,5 @@ def transmit_random(
         if draw not in seen:
             seen.add(draw)
             distinct += 1
-        outputs[Word.from_raw(sampler.apply_draw(draw, x.raw), x.q)] += 1
-    return OutputCollection(model.collection_kind, dict(outputs), distinct_patterns=distinct)
+        outputs[sampler.apply_draw(draw, x.raw)] += 1
+    return OutputCollection.of_raw(model.collection_kind, outputs, x.q, distinct)

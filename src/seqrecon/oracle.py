@@ -31,8 +31,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from operator import itemgetter
 
-from .channels import ChannelModel, OutputCollection, enumerate_patterns, pattern_space_size
-from .patterns import ErrorPattern, check_mode
+from .channels import ChannelModel, OutputCollection, deletion_sets, enumerate_patterns, pattern_space_size
+from .patterns import ErrorPattern, check_mode, draw_to_pattern
 from .words import Word, hamming_ball_volume
 
 DEFAULT_BUDGET = 100_000_000  # extremal_search's default search cost cap
@@ -70,10 +70,11 @@ def confusable_max(
 ) -> ConfusabilityReport:
     """Largest channel count at which x and x_prime can be confused.
 
-    Enumerates each word once and keeps only its output counts, from which
-    the cover rule of the module docstring gives the count.  A witness
-    enumerates both words a second time and keeps at most take(y) patterns
-    per shared output y.
+    Enumerates each word once and keeps only its output counts, in raw
+    form, from which the cover rule of the module docstring gives the count.
+    A witness enumerates both words a second time, keeps the draws of at
+    most take(y) patterns per shared output y, and turns only those into
+    ErrorPatterns.
     """
     mode = check_mode(mode)
     if len(x) != len(x_prime) or x.q != x_prime.q:
@@ -90,22 +91,21 @@ def confusable_max(
 
     witness = None
     if want_witness and n_max:
-        of = ErrorPattern.of_deletion if error_type == "deletion" else ErrorPattern.of_insertion
         chosen = []
         for word, quota in ((x, take), (x_prime, take_prime)):
-            kept = {y: (quota[y], []) for y in common}  # (quota, patterns): one lookup per pattern
-            for v, y in enumerate_patterns(word, t, mode, error_type):
+            kept = {y: (quota[y], []) for y in common}  # (quota, draws): one lookup per pattern
+            for draw, y in enumerate_patterns(word, t, mode, error_type):
                 slot = kept.get(y)
                 if slot and len(slot[1]) < slot[0]:
-                    slot[1].append(of(v))
+                    slot[1].append(draw)
             groups = [g for _, g in kept.values()]
             if model is ChannelModel.NON_MULTISET:
                 # One pattern per shared output, then fill output by output.
-                patterns = [g[0] for g in groups] + [p for g in groups for p in g[1:]]
+                draws = [g[0] for g in groups] + [d for g in groups for d in g[1:]]
             else:
-                patterns = [p for g in groups for p in g]
-            chosen.append(patterns[:n_max])
-        witness = ConfusabilityWitness(*chosen, OutputCollection(model.collection_kind, take))
+                draws = [d for g in groups for d in g]
+            chosen.append([draw_to_pattern(d, len(word), word) for d in draws[:n_max]])
+        witness = ConfusabilityWitness(*chosen, OutputCollection.of_raw(model.collection_kind, take, x.q))
     return ConfusabilityReport(
         x, x_prime, t, mode, model, error_type, n_max, witness
     )
@@ -122,19 +122,18 @@ class ExtremalResult:
 
 
 def _keep_getters(n: int, t: int, mode: str):
-    """Precomputed extractors mapping a word tuple to each deletion output."""
-    weights = range(t + 1) if mode == "at_most" else (t,)
+    """Precomputed extractors mapping a word tuple to each deletion output,
+    one per deletion set in enumerate_patterns' order."""
     getters = []
-    for w in weights:
-        for dropped in itertools.combinations(range(n), w):
-            kept = tuple(i for i in range(n) if i not in dropped)
-            if len(kept) == 0:
-                getters.append(lambda s: ())
-            elif len(kept) == 1:
-                k = kept[0]
-                getters.append(lambda s, k=k: (s[k],))
-            else:
-                getters.append(itemgetter(*kept))
+    for dropped in deletion_sets(n, t, mode):
+        kept = tuple(i for i in range(n) if i not in dropped)
+        if len(kept) == 0:
+            getters.append(lambda s: ())
+        elif len(kept) == 1:
+            k = kept[0]
+            getters.append(lambda s, k=k: (s[k],))
+        else:
+            getters.append(itemgetter(*kept))
     return getters
 
 

@@ -1,4 +1,13 @@
-"""Error events for a single channel and how to apply, enumerate and sample them.
+"""Error events for a single channel and how to apply and sample them.
+
+Patterns are sampled, enumerated, counted and applied in one raw form, the
+draw that PatternSampler.draw returns: the tuple (gaps, ins_symbols,
+del_positions, sub_positions, sub_offsets) of 0-based positions and symbol
+ints.  One body, PatternSampler.apply_draw, applies a draw to a word in raw
+form (see words.py).  The pattern objects below are the validated, readable
+form of the same event, built only where one is shown or read back (a
+witness, a JSON record): pattern_to_draw and draw_to_pattern map between
+the two, and apply_pattern maps a pattern to its draw and applies that.
 
 A deletion vector is a binary mask over the n coordinates of the transmitted
 word.  An insertion vector is an ordered tuple of n+1 (possibly empty) q-ary
@@ -10,17 +19,14 @@ not overlap, and inserted symbols are never deleted or substituted.
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 import random
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .words import Word, alphabet, symbol_counts
-
-Mode = str  # "exactly" | "at_most"
 
 
 def check_mode(mode: str) -> str:
@@ -37,6 +43,9 @@ def as_rng(seed: "int | str | random.Random | None") -> random.Random:
     return random.Random(seed)
 
 
+_MASK_TEXT = bytes.maketrans(b"\0\1", b"01")
+
+
 @dataclass(frozen=True)
 class DeletionVector:
     """Binary mask d over [1, n]; position i is deleted when d_i = 1."""
@@ -44,9 +53,8 @@ class DeletionVector:
     mask: tuple[int, ...]
 
     def __post_init__(self):
-        for b in self.mask:
-            if b not in (0, 1):
-                raise ValueError("deletion mask entries must be 0 or 1")
+        if not set(self.mask) <= {0, 1}:
+            raise ValueError("deletion mask entries must be 0 or 1")
 
     @classmethod
     def from_positions(cls, n: int, positions: Sequence[int]) -> "DeletionVector":
@@ -71,7 +79,7 @@ class DeletionVector:
 
     @property
     def text(self) -> str:
-        return "".join(str(b) for b in self.mask)
+        return bytes(self.mask).translate(_MASK_TEXT).decode()
 
 
 @dataclass(frozen=True)
@@ -93,7 +101,7 @@ class InsertionVector:
         return sum(len(p) for p in self.parts)
 
     def part_texts(self, q: int) -> list[str]:
-        return [Word(p, q).text for p in self.parts]
+        return [Word(p, q).text if p else "" for p in self.parts]
 
 
 @dataclass(frozen=True)
@@ -116,9 +124,6 @@ class SubstitutionPattern:
     def positions(self) -> tuple[int, ...]:
         return tuple(p for p, _ in self.entries)
 
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.entries)
-
 
 @dataclass(frozen=True)
 class ErrorPattern:
@@ -131,16 +136,6 @@ class ErrorPattern:
     @classmethod
     def empty(cls, n: int) -> "ErrorPattern":
         return cls(InsertionVector.empty(n), DeletionVector((0,) * n), SubstitutionPattern(()))
-
-    @classmethod
-    def of_deletion(cls, d: DeletionVector) -> "ErrorPattern":
-        n = len(d.mask)
-        return cls(InsertionVector.empty(n), d, SubstitutionPattern(()))
-
-    @classmethod
-    def of_insertion(cls, v: InsertionVector) -> "ErrorPattern":
-        n = len(v.parts) - 1
-        return cls(v, DeletionVector((0,) * n), SubstitutionPattern(()))
 
     def validate(self, n: int, q: int) -> None:
         if len(self.deletion.mask) != n:
@@ -176,22 +171,37 @@ class ErrorPattern:
         )
 
 
-def apply_deletion(x: Word, d: DeletionVector) -> Word:
-    """Remove every coordinate of x flagged by the mask, keeping relative order."""
-    if len(d.mask) != len(x):
-        raise ValueError(f"mask length {len(d.mask)} != word length {len(x)}")
-    return Word.from_raw("".join([c for c, b in zip(x.raw, d.mask) if not b]), x.q)
+def pattern_to_draw(p: ErrorPattern, x: Word) -> tuple:
+    """The raw draw (see PatternSampler.draw) of a validated pattern on x.
+    Raises on a substitution that keeps x's symbol, which no draw holds."""
+    parts, entries = p.insertion.parts, p.substitution.entries
+    for pos, s in entries:
+        if s == x[pos - 1]:
+            raise ValueError(f"substitution at position {pos} does not change the symbol")
+    return (
+        tuple(g for g, part in enumerate(parts) for _ in part),
+        tuple(s for part in parts for s in part),
+        tuple(i for i, b in enumerate(p.deletion.mask) if b),
+        tuple(pos - 1 for pos, _ in entries),
+        tuple(s - (s > x[pos - 1]) for pos, s in entries),
+    )
 
 
-def apply_insertion(x: Word, v: InsertionVector) -> Word:
-    """Insert part i of v after the i-th symbol of x (part 0 goes in front)."""
-    if len(v.parts) != len(x) + 1:
-        raise ValueError(f"insertion vector has {len(v.parts)} parts for word of length {len(x)}")
-    out: list[int] = list(v.parts[0])
-    for s, part in zip(x.symbols, v.parts[1:]):
-        out.append(s)
-        out.extend(part)
-    return Word(out, x.q)
+def draw_to_pattern(draw, n: int, x: Word | None = None) -> ErrorPattern:
+    """The ErrorPattern of a raw draw on a word of length n.  x is needed
+    only when the draw substitutes: an offset names the replacement among
+    the q-1 symbols differing from x at that position."""
+    gaps, ins_symbols, del_pos, sub_pos, sub_off = draw
+    parts = [()] * (n + 1)
+    for g, s in zip(gaps, ins_symbols):
+        parts[g] += (s,)
+    mask = [0] * n
+    for p in del_pos:
+        mask[p] = 1
+    entries = [(p + 1, off + (off >= x[p])) for p, off in zip(sub_pos, sub_off)]
+    return ErrorPattern(
+        InsertionVector(tuple(parts)), DeletionVector(tuple(mask)), SubstitutionPattern(tuple(entries))
+    )
 
 
 def apply_pattern(x: Word, p: ErrorPattern) -> Word:
@@ -199,68 +209,31 @@ def apply_pattern(x: Word, p: ErrorPattern) -> Word:
 
     Substitutions and deletions address original coordinates of x; insertion
     parts are interleaved at the original gaps, so a part survives even when
-    its neighbouring symbol is deleted.  The stage order is fixed for
-    determinism; under the disjointness invariants the result does not depend
-    on it.
+    its neighbouring symbol is deleted.  The pattern is validated, mapped to
+    its draw, and applied by the body of PatternSampler.apply_draw.
     """
-    n = len(x)
-    p.validate(n, x.q)
-    symbols = list(x.symbols)
-    for pos, s in p.substitution.entries:
-        if symbols[pos - 1] == s:
-            raise ValueError(f"substitution at position {pos} does not change the symbol")
-        symbols[pos - 1] = s
-    out: list[int] = list(p.insertion.parts[0])
-    for i in range(n):
-        if not p.deletion.mask[i]:
-            out.append(symbols[i])
-        out.extend(p.insertion.parts[i + 1])
-    return Word(out, x.q)
+    p.validate(len(x), x.q)
+    return Word.from_raw(_apply_draw(pattern_to_draw(p, x), x.raw, alphabet(x.q)), x.q)
 
 
-def enumerate_deletion_vectors(n: int, t: int, mode: Mode = "exactly") -> Iterator[DeletionVector]:
-    """All deletion vectors of weight exactly t, or at most t.
-
-    Yields C(n, t) vectors for "exactly" and V_2(n, t) for "at_most".
-    """
-    mode = check_mode(mode)
-    if not 0 <= t <= n:
-        raise ValueError(f"t={t} outside [0, n={n}]")
-    weights = range(t + 1) if mode == "at_most" else (t,)
-    for w in weights:
-        for positions in itertools.combinations(range(n), w):
-            mask = [0] * n
-            for p in positions:
-                mask[p] = 1
-            yield DeletionVector(tuple(mask))
-
-
-def _gap_multisets(n: int, total: int) -> Iterator[tuple[int, ...]]:
-    # Weak compositions of `total` over the n+1 gaps, as sorted gap index tuples.
-    yield from itertools.combinations_with_replacement(range(n + 1), total)
-
-
-def _vector_from_gaps(n: int, gaps: Sequence[int], symbols: Sequence[int]) -> InsertionVector:
-    parts: list[list[int]] = [[] for _ in range(n + 1)]
-    for g, s in zip(gaps, symbols):
-        parts[g].append(s)
-    return InsertionVector(tuple(tuple(p) for p in parts))
-
-
-def enumerate_insertion_vectors(n: int, q: int, t: int, mode: Mode = "exactly") -> Iterator[InsertionVector]:
-    """All insertion vectors of total length exactly t or at most t.
-
-    Yields q^t * C(n+t, t) vectors for "exactly"; the at-most count equals
-    insertion_ball_volume(q, n, t).
-    """
-    mode = check_mode(mode)
-    if t < 0:
-        raise ValueError("t must be non-negative")
-    totals = range(t + 1) if mode == "at_most" else (t,)
-    for total in totals:
-        for gaps in _gap_multisets(n, total):
-            for symbols in itertools.product(range(q), repeat=total):
-                yield _vector_from_gaps(n, gaps, symbols)
+def _apply_draw(draw, x_raw: str, symbols: str) -> str:
+    """Apply a raw draw to a word in raw form over the alphabet string
+    `symbols`; O(n + t).  Substitutions come first, then deletions, then
+    insertions; under the disjointness invariants the order does not matter."""
+    gaps, ins_symbols, del_pos, sub_pos, sub_off = draw
+    out = list(x_raw)
+    for p, off in zip(sub_pos, sub_off):
+        # The replacement skips the original symbol: off, or off + 1 from it on.
+        new = symbols[off]
+        out[p] = new if new < out[p] else symbols[off + 1]
+    for p in reversed(del_pos):
+        del out[p]
+    # Gap g sits after original symbol g, so after the deletions it sits
+    # after g minus the deleted positions before it.  Inserting from the
+    # last gap backwards leaves the earlier anchors in place.
+    for g, s in zip(reversed(gaps), reversed(ins_symbols)):
+        out.insert(g - bisect_left(del_pos, g), symbols[s])
+    return "".join(out)
 
 
 def _sample_range(getrandbits, m: int, k: int) -> list[int]:
@@ -443,43 +416,16 @@ class PatternSampler:
     def sample(self, rng: random.Random, x: Word | None = None) -> ErrorPattern:
         """Uniform ErrorPattern.  x is required when t_sub > 0 because the
         replacement symbol is one of the q-1 symbols differing from x there."""
-        gaps, ins_symbols, del_pos, sub_pos, sub_off = self.draw(rng)
-        n, q = self.n, self.q
-        if sub_pos and x is None:
+        draw = self.draw(rng)
+        if draw[3] and x is None:  # the draw substitutes
             raise ValueError("sampling substitutions requires the transmitted word x")
-        if x is not None and len(x) != n:
-            raise ValueError(f"x has length {len(x)}, sampler built for {n}")
-        entries = []
-        for p, off in zip(sub_pos, sub_off):
-            orig = x[p]
-            new = off + (1 if off >= orig else 0)
-            entries.append((p + 1, new))
-        mask = [0] * n
-        for p in del_pos:
-            mask[p] = 1
-        return ErrorPattern(
-            _vector_from_gaps(n, gaps, ins_symbols),
-            DeletionVector(tuple(mask)),
-            SubstitutionPattern(tuple(entries)),
-        )
+        if x is not None and len(x) != self.n:
+            raise ValueError(f"x has length {len(x)}, sampler built for {self.n}")
+        return draw_to_pattern(draw, self.n, x)
 
     def apply_draw(self, draw, x_raw: str) -> str:
         """Apply a raw draw to the transmitted word in raw form; O(n + t)."""
-        gaps, ins_symbols, del_pos, sub_pos, sub_off = draw
-        symbols = self._alphabet
-        out = list(x_raw)
-        for p, off in zip(sub_pos, sub_off):
-            # The replacement skips the original symbol: off, or off + 1 from it on.
-            new = symbols[off]
-            out[p] = new if new < out[p] else symbols[off + 1]
-        for p in reversed(del_pos):
-            del out[p]
-        # Gap g sits after original symbol g, so after the deletions it sits
-        # after g minus the deleted positions before it.  Inserting from the
-        # last gap backwards leaves the earlier anchors in place.
-        for g, s in zip(reversed(gaps), reversed(ins_symbols)):
-            out.insert(g - bisect_left(del_pos, g), symbols[s])
-        return "".join(out)
+        return _apply_draw(draw, x_raw, self._alphabet)
 
 
 class DrawOutputs:

@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 import json
 import random
@@ -82,6 +83,46 @@ def test_distinguish_refuses_before_enumerating(capsys):
     assert out == (
         '{"error": "1855967520 patterns exceed enumeration limit 10000000", "hypothesis_ok": false}\n'
     )
+
+
+# sha256 of the concatenated stdout of `distinguish` over both modes, all
+# three models, and without then with --witness, per alphabet, error type
+# and budget.  A witness lists patterns in enumeration order, so these pin
+# that order as well as the counts.
+DISTINGUISH_PAIRS = {2: ("110100", "101100"), 3: ("120210", "102210"), 4: ("130212", "103212")}
+DISTINGUISH_DIGESTS = {
+    (2, "deletion", 0): "b19fa5763a12aaa998ecd8dee7c9a8faf17b0e2add891794d4f63ce492826c85",
+    (2, "deletion", 1): "29772fb5794f3bf28e230dfe3c2c08942c774dec34a722dd76038623cca83f4e",
+    (2, "deletion", 2): "044d992a9ddc6d955f0416939c8cc315b03fe98955f56c9642164aff63bfff62",
+    (3, "deletion", 0): "8b995693eadc2c536cebc89e6d1ca38ea28061ac0e81eec5f8a8feaaae4b9cdf",
+    (3, "deletion", 1): "44dbdb059b8ab0a72b4ded90600d3647430af4511c0391def3a563c3820d0886",
+    (3, "deletion", 2): "bc7d7bc5a0c139181dbacf840e6735ccb736ffe3952da36aff384df7629a58b6",
+    (4, "deletion", 0): "95533fe43d3c2485f8045c6abde69c4e120fb4c3802b0bae99b5204cfc42c1ce",
+    (4, "deletion", 1): "3c64808d1e50486a1f7751a038c0903581039cf21055e02d4865b4ce1e5f324d",
+    (4, "deletion", 2): "5f2f959babf2f387df1d005d439d00ff6244e3a3842861ea3c122304c7e89faa",
+    (2, "insertion", 1): "1747ac5c224baec547c93ef02a9b07418e879c1d74695afb9896ee6ff5daa2d8",
+    (3, "insertion", 1): "4ee9af25d17eee4db6cb15e5233538d280415f6f9950fc1bd9d95ee7db40ee7c",
+    (4, "insertion", 1): "e35eca7b8c623031c8f96c2e3f060553449aa4050eb243e4597ca5e181b1ddb8",
+    (2, "insertion", 2): "daecc0a29eb20cdc5cefa89e7a88d015c6accad0df788638c68db610399a602e",
+    (3, "insertion", 2): "72a513cb4b92bcd5b2b49d8a416bb3f6cb33b1c70a79a6a1d14e84dc0db898ec",
+    (4, "insertion", 2): "090f854195e62e96204ba7f2615a1caecbec88e70a7b7efab43bca4b037726da",
+}
+
+
+@pytest.mark.parametrize("q, error_type, t", sorted(DISTINGUISH_DIGESTS))
+def test_distinguish_stdout_is_pinned(capsys, q, error_type, t):
+    x, xp = DISTINGUISH_PAIRS[q]
+    digest = hashlib.sha256()
+    for mode in ("exactly", "at-most"):
+        for model in ("traditional", "multiset", "non-multiset"):
+            for witness in ((), ("--witness",)):
+                code, out = run_cli(
+                    capsys, "distinguish", "--x", x, "--xp", xp, "--q", str(q), "--t", str(t),
+                    "--mode", mode, "--model", model, "--error-type", error_type, *witness,
+                )
+                assert code == 0
+                digest.update(out.encode())
+    assert digest.hexdigest() == DISTINGUISH_DIGESTS[q, error_type, t]
 
 
 def test_extremal_subcommand(capsys):

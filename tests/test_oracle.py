@@ -12,9 +12,15 @@ from seqrecon.bounds import (
     levenshtein_deletion_bound,
     pattern_bound,
 )
-from seqrecon.channels import ChannelModel, OutputCollection, enumerate_patterns
+from seqrecon.channels import ChannelModel, OutputCollection
 from seqrecon.oracle import confusable_max, extremal_search
-from seqrecon.patterns import ErrorPattern, apply_pattern
+from seqrecon.patterns import (
+    DeletionVector,
+    ErrorPattern,
+    InsertionVector,
+    SubstitutionPattern,
+    apply_pattern,
+)
 from seqrecon.words import Word
 
 M = ChannelModel.MULTISET
@@ -113,6 +119,26 @@ def test_insertion_oracle_symmetric_and_ordered():
     assert a.n_max_confusable <= nm.n_max_confusable
 
 
+def _listed_patterns(n, q, t, mode, error_type):
+    """Every deletion or insertion pattern of the budget, listed with
+    itertools in the documented order: ascending size, then deleted
+    positions in lexicographic order, or insertion gap multisets in
+    lexicographic order and then their symbols."""
+    no_sub = SubstitutionPattern(())
+    for size in range(t + 1) if mode == "at_most" else (t,):
+        if error_type == "deletion":
+            for positions in itertools.combinations(range(1, n + 1), size):
+                yield ErrorPattern(InsertionVector.empty(n), DeletionVector.from_positions(n, positions), no_sub)
+            continue
+        for gaps in itertools.combinations_with_replacement(range(n + 1), size):
+            for symbols in itertools.product(range(q), repeat=size):
+                parts = [[] for _ in range(n + 1)]
+                for g, s in zip(gaps, symbols):
+                    parts[g].append(s)
+                insertion = InsertionVector(tuple(map(tuple, parts)))
+                yield ErrorPattern(insertion, DeletionVector((0,) * n), no_sub)
+
+
 def _pattern_lists_reference(x, xp, t, mode, model, error_type):
     """The oracle that stores every pattern of both words, grouped by output.
 
@@ -121,8 +147,8 @@ def _pattern_lists_reference(x, xp, t, mode, model, error_type):
     """
     out_x, out_xp = {}, {}
     for word, by_output in ((x, out_x), (xp, out_xp)):
-        for v, y in enumerate_patterns(word, t, mode, error_type):
-            by_output.setdefault(y, []).append(v)
+        for v in _listed_patterns(len(word), word.q, t, mode, error_type):
+            by_output.setdefault(apply_pattern(word, v), []).append(v)
     common = [y for y in out_x if y in out_xp]
     if model is TR:
         n_max = len(common)
@@ -152,13 +178,7 @@ def _pattern_lists_reference(x, xp, t, mode, model, error_type):
         px, pxp, counts = cover(out_x), cover(out_xp), {y: 1 for y in common}
     if not n_max:
         return 0, None, None, None
-    of = ErrorPattern.of_deletion if error_type == "deletion" else ErrorPattern.of_insertion
-    return (
-        n_max,
-        [of(v) for v in px],
-        [of(v) for v in pxp],
-        OutputCollection(model.collection_kind, counts),
-    )
+    return n_max, px, pxp, OutputCollection(model.collection_kind, counts)
 
 
 def test_confusable_max_matches_pattern_lists_reference():

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from collections import Counter
@@ -5,6 +6,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from seqrecon.channels import deletion_sets, enumerate_patterns
 from seqrecon.patterns import (
     DeletionVector,
     DrawOutputs,
@@ -12,11 +14,9 @@ from seqrecon.patterns import (
     InsertionVector,
     PatternSampler,
     SubstitutionPattern,
-    apply_deletion,
-    apply_insertion,
     apply_pattern,
-    enumerate_deletion_vectors,
-    enumerate_insertion_vectors,
+    draw_to_pattern,
+    pattern_to_draw,
     sample_pattern,
 )
 from seqrecon.words import Word, alphabet, insertion_ball_volume, symbol_counts
@@ -26,40 +26,48 @@ def W(text, q=2):
     return Word.parse(text, q)
 
 
+def deletion(d):
+    return ErrorPattern(InsertionVector.empty(len(d.mask)), d, SubstitutionPattern(()))
+
+
+def insertion(v):
+    return ErrorPattern(v, DeletionVector((0,) * (len(v.parts) - 1)), SubstitutionPattern(()))
+
+
 # --- applying single error types --------------------------------------------
 
 
 def test_apply_deletion_examples():
-    assert apply_deletion(W("111100"), DeletionVector.parse("000001")) == W("11110")
+    assert apply_pattern(W("111100"), deletion(DeletionVector.parse("000001"))) == W("11110")
     x = W("101010")
-    assert apply_deletion(x, DeletionVector.parse("000000")) == x
-    assert apply_deletion(W("11101"), DeletionVector.parse("10010")) == W("111")
+    assert apply_pattern(x, deletion(DeletionVector.parse("000000"))) == x
+    assert apply_pattern(W("11101"), deletion(DeletionVector.parse("10010"))) == W("111")
 
 
 def test_apply_deletion_length_mismatch():
-    with pytest.raises(ValueError):
-        apply_deletion(W("111"), DeletionVector.parse("1100"))
+    with pytest.raises(ValueError, match="^deletion mask length 4 != 3$"):
+        apply_pattern(W("111"), deletion(DeletionVector.parse("1100")))
 
 
 def test_apply_insertion_examples():
     v = InsertionVector.from_texts(["1", "", "", ""], 2)
-    assert apply_insertion(W("000"), v) == W("1000")
+    assert apply_pattern(W("000"), insertion(v)) == W("1000")
     x = W("0110")
-    assert apply_insertion(x, InsertionVector.empty(4)) == x
+    assert apply_pattern(x, insertion(InsertionVector.empty(4))) == x
     tail = InsertionVector.from_texts(["", "", "", "0"], 2)
-    assert apply_insertion(W("000"), tail) == W("0000")
+    assert apply_pattern(W("000"), insertion(tail)) == W("0000")
 
 
 def test_apply_insertion_part_count_mismatch():
-    with pytest.raises(ValueError):
-        apply_insertion(W("000"), InsertionVector.empty(4))
+    p = ErrorPattern(InsertionVector.empty(4), DeletionVector((0,) * 3), SubstitutionPattern(()))
+    with pytest.raises(ValueError, match="^insertion vector has 5 parts, expected 4$"):
+        apply_pattern(W("000"), p)
 
 
 def test_insertion_vector_symbols_validated_on_apply():
     v = InsertionVector(((2,), (), (), ()))
-    pattern = ErrorPattern.of_insertion(v)
-    with pytest.raises(ValueError):
-        apply_pattern(W("000"), pattern)
+    with pytest.raises(ValueError, match=r"^inserted symbol 2 outside alphabet \[0, 1\]$"):
+        apply_pattern(W("000"), insertion(v))
 
 
 # --- combined patterns -------------------------------------------------------
@@ -98,15 +106,29 @@ def test_apply_pattern_rejects_overlap_and_null_substitution():
         DeletionVector.parse("100"),
         SubstitutionPattern.from_dict({1: 1}),
     )
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^position 1 both deleted and substituted$"):
         apply_pattern(W("010"), overlap)
     same = ErrorPattern(
         InsertionVector.empty(3),
         DeletionVector.parse("000"),
         SubstitutionPattern.from_dict({2: 1}),
     )
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^substitution at position 2 does not change the symbol$"):
         apply_pattern(W("010"), same)
+
+
+@pytest.mark.parametrize(
+    "sub, message",
+    [
+        ({2: 4}, r"^substituted symbol 4 outside alphabet \[0, 3\]$"),
+        ({0: 1}, r"^substitution position 0 outside \[1, 3\]$"),
+        ({4: 1}, r"^substitution position 4 outside \[1, 3\]$"),
+    ],
+)
+def test_apply_pattern_rejects_substitution_outside_word_or_alphabet(sub, message):
+    p = ErrorPattern(InsertionVector.empty(3), DeletionVector.parse("000"), SubstitutionPattern.from_dict(sub))
+    with pytest.raises(ValueError, match=message):
+        apply_pattern(W("012", 4), p)
 
 
 def test_pattern_json_roundtrip():
@@ -126,23 +148,22 @@ def test_pattern_json_roundtrip():
 def test_deletion_vector_counts():
     for n in range(0, 21):
         for t in range(0, min(n, 5) + 1):
-            exactly = sum(1 for _ in enumerate_deletion_vectors(n, t, "exactly"))
-            at_most = sum(1 for _ in enumerate_deletion_vectors(n, t, "at_most"))
+            exactly = sum(1 for _ in deletion_sets(n, t, "exactly"))
+            at_most = sum(1 for _ in deletion_sets(n, t, "at_most"))
             assert exactly == math.comb(n, t)
             assert at_most == sum(math.comb(n, i) for i in range(t + 1))
 
 
 def test_deletion_vectors_distinct():
-    vecs = list(enumerate_deletion_vectors(6, 2, "at_most"))
+    vecs = list(deletion_sets(6, 2, "at_most"))
     assert len(vecs) == len(set(vecs)) == 22
 
 
 def test_table_of_weight2_vectors_for_11011():
     # the 9 vectors mapping 11011 into {111, 110, 101}
     produced = {}
-    x = W("11011")
-    for d in enumerate_deletion_vectors(5, 2, "exactly"):
-        produced.setdefault(apply_deletion(x, d).text, set()).add(d.text)
+    for draw, y in enumerate_patterns(W("11011"), 2, "exactly"):
+        produced.setdefault(y, set()).add(draw_to_pattern(draw, 5).deletion.text)
     assert produced["111"] == {"10100", "01100", "00110", "00101"}
     assert produced["110"] == {"00011"}
     assert produced["101"] == {"10010", "10001", "01010", "01001"}
@@ -151,16 +172,41 @@ def test_table_of_weight2_vectors_for_11011():
 def test_insertion_vector_counts_match_ball_volume():
     for q in (2, 3, 4):
         for n in range(0, 5):
+            x = Word([0] * n, q)
             for t in range(0, 3):
-                at_most = sum(1 for _ in enumerate_insertion_vectors(n, q, t, "at_most"))
-                exactly = sum(1 for _ in enumerate_insertion_vectors(n, q, t, "exactly"))
+                at_most = sum(1 for _ in enumerate_patterns(x, t, "at_most", "insertion"))
+                exactly = sum(1 for _ in enumerate_patterns(x, t, "exactly", "insertion"))
                 assert at_most == insertion_ball_volume(q, n, t)
                 assert exactly == q**t * math.comb(n + t, t)
 
 
 def test_insertion_vectors_distinct():
-    vecs = list(enumerate_insertion_vectors(3, 2, 1, "at_most"))
-    assert len(set(vecs)) == 9
+    draws = [draw for draw, _ in enumerate_patterns(W("000"), 1, "at_most", "insertion")]
+    assert len(set(draws)) == 9
+
+
+@pytest.mark.parametrize("error_type, t", [("deletion", 0), ("deletion", 1), ("deletion", 2), ("deletion", 3), ("insertion", 1), ("insertion", 2)])
+@pytest.mark.parametrize("mode", ["exactly", "at_most"])
+def test_enumerated_patterns_in_documented_order_and_applied(error_type, t, mode):
+    # Ascending size, then deletion sets in lexicographic order, or insertion
+    # gap multisets in lexicographic order and then symbols; each output is
+    # what apply_pattern gives for the draw's pattern.
+    x = W("2013021", 4)
+    n = len(x)
+    sizes = range(t + 1) if mode == "at_most" else (t,)
+    if error_type == "deletion":
+        want = [((), (), d, (), ()) for w in sizes for d in itertools.combinations(range(n), w)]
+    else:
+        want = [
+            (gaps, ins, (), (), ())
+            for size in sizes
+            for gaps in itertools.combinations_with_replacement(range(n + 1), size)
+            for ins in itertools.product(range(4), repeat=size)
+        ]
+    got = list(enumerate_patterns(x, t, mode, error_type))
+    assert [draw for draw, _ in got] == want
+    for draw, y in got:
+        assert y == apply_pattern(x, draw_to_pattern(draw, n, x)).raw
 
 
 # --- sampling ----------------------------------------------------------------
@@ -258,6 +304,22 @@ def test_draw_counts_equal_counts_of_applied_draw(q):
             assert outputs.raw(draw) == y
 
 
+@pytest.mark.parametrize("q", [2, 4, 13])
+def test_draw_pattern_round_trip(q):
+    # A draw maps to an ErrorPattern and back to itself, and apply_pattern of
+    # that pattern gives what apply_draw gives.  q = 13 has symbols past 9.
+    rng = random.Random(f"round-trip:{q}")
+    n = 7
+    for shape in COUNT_SHAPES:
+        sampler = PatternSampler(n, q, *shape)
+        for _ in range(40):
+            x = Word([rng.randrange(q) for _ in range(n)], q)
+            draw = sampler.draw(rng)
+            p = draw_to_pattern(draw, n, x)
+            assert pattern_to_draw(p, x) == draw
+            assert apply_pattern(x, p).raw == sampler.apply_draw(draw, x.raw)
+
+
 def _reference_draw(sampler, rng):
     # PatternSampler.draw as written with randrange and sample; draw must
     # make the same generator calls, so seeded streams never drift.
@@ -325,7 +387,7 @@ def test_deletion_commutes_with_symbol_collapse(seed):
     rng = random.Random(seed)
     n = rng.randrange(1, 9)
     x = Word([rng.randrange(4) for _ in range(n)], 4)
-    d = DeletionVector.from_positions(n, rng.sample(range(1, n + 1), rng.randrange(n + 1)))
+    d = deletion(DeletionVector.from_positions(n, rng.sample(range(1, n + 1), rng.randrange(n + 1))))
     cut = rng.randrange(1, 4)
     collapse = lambda w: Word([1 if s >= cut else 0 for s in w.symbols], 2)
-    assert collapse(apply_deletion(x, d)) == apply_deletion(collapse(x), d)
+    assert collapse(apply_pattern(x, d)) == apply_pattern(collapse(x), d)
