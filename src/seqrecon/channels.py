@@ -213,14 +213,11 @@ def transmit_random(
     rng = as_rng(rng_seed)
     outputs: Counter[str] = Counter()
     seen: set = set()
-    distinct = 0
     for _ in range(n_channels):
         while True:
             draw = sampler.draw(rng)
             if not strict or draw not in seen:
                 break
-        if draw not in seen:
-            seen.add(draw)
-            distinct += 1
+        seen.add(draw)
         outputs[sampler.apply_draw(draw, x.raw)] += 1
-    return OutputCollection.of_raw(model.collection_kind, outputs, x.q, distinct)
+    return OutputCollection.of_raw(model.collection_kind, outputs, x.q, len(seen))

@@ -145,8 +145,7 @@ def _cmd_extremal(args) -> tuple[dict, str]:
 
 
 def _cmd_code(args) -> tuple[dict, str]:
-    p = Fraction(args.p) if args.p else None
-    params = CodeParams(q=args.q, n=args.n, p=p)
+    params = CodeParams(q=args.q, n=args.n, p=args.p or None)
     record = {
         "q": args.q,
         "n": args.n,

@@ -24,11 +24,13 @@ DEFAULT_RARITY = Fraction(16, 1) / _E  # 2^4 / e
 
 @dataclass(frozen=True)
 class CodeParams:
-    """Alphabet, length and the frequency parameter p (default 2^4/e)."""
+    """Alphabet, length and the frequency parameter p (default 2^4/e).  p
+    is stored as a Fraction and may be given as anything Fraction accepts,
+    such as the text "13/2"."""
 
     q: int
     n: int
-    p: Fraction | None = None
+    p: Fraction | str | None = None
 
     def __post_init__(self):
         if self.q < 4:
@@ -36,7 +38,10 @@ class CodeParams:
         if self.n < 1:
             raise ValueError(f"requires n >= 1, got {self.n}")
         if self.p is not None:
-            object.__setattr__(self, "p", Fraction(self.p))
+            try:
+                object.__setattr__(self, "p", Fraction(self.p))
+            except ZeroDivisionError:
+                raise ValueError(f"p={self.p} has a zero denominator") from None
             if self.p <= 1:
                 raise ValueError("p must exceed 1")
 

@@ -33,7 +33,7 @@ from operator import itemgetter
 
 from .channels import ChannelModel, OutputCollection, deletion_sets, enumerate_patterns, pattern_space_size
 from .patterns import ErrorPattern, check_mode, draw_to_pattern
-from .words import Word, hamming_ball_volume
+from .words import Word, alphabet, hamming_ball_volume
 
 DEFAULT_BUDGET = 100_000_000  # extremal_search's default search cost cap
 
@@ -122,22 +122,19 @@ class ExtremalResult:
 
 
 def _keep_getters(n: int, t: int, mode: str):
-    """Precomputed extractors mapping a word tuple to each deletion output,
-    one per deletion set in enumerate_patterns' order."""
+    """One key function per deletion set, in enumerate_patterns' order,
+    mapping a word in raw form to a key of its deletion output: the tuple of
+    kept characters, one character when one is kept, () when none is.
+    Outputs of one length have keys of one type, so equal keys mean equal
+    outputs."""
     getters = []
     for dropped in deletion_sets(n, t, mode):
-        kept = tuple(i for i in range(n) if i not in dropped)
-        if len(kept) == 0:
-            getters.append(lambda s: ())
-        elif len(kept) == 1:
-            k = kept[0]
-            getters.append(lambda s, k=k: (s[k],))
-        else:
-            getters.append(itemgetter(*kept))
+        kept = [i for i in range(n) if i not in dropped]
+        getters.append(itemgetter(*kept) if kept else lambda s: ())
     return getters
 
 
-def _producer_rows(words: list[tuple], n: int, t: int, mode: str) -> list[list[tuple]]:
+def _producer_rows(words: list[str], n: int, t: int, mode: str) -> list[list[tuple]]:
     """Each word's deletion outputs, as (multiplicity, producers) rows.
 
     `producers` is shared by every word with that output and holds each
@@ -145,7 +142,7 @@ def _producer_rows(words: list[tuple], n: int, t: int, mode: str) -> list[list[t
     it when the scan reaches word i leaves exactly the producers j > i.
     """
     getters = _keep_getters(n, t, mode)
-    index: dict[tuple, list[tuple[int, int]]] = {}
+    index: dict[tuple | str, list[tuple[int, int]]] = {}
     rows = []
     for j, w in enumerate(words):
         row = []
@@ -159,7 +156,7 @@ def _producer_rows(words: list[tuple], n: int, t: int, mode: str) -> list[list[t
     return rows
 
 
-def _scan_pairs(words: list[tuple], n: int, t: int, mode: str, model: ChannelModel, initial_best: int):
+def _scan_pairs(words: list[str], n: int, t: int, mode: str, model: ChannelModel, initial_best: int):
     """Best count, attaining pairs and indistinguishable pairs, as word indices.
 
     Visits word i's producer rows, then its partners j > i in ascending
@@ -217,23 +214,19 @@ def _scan_pairs(words: list[tuple], n: int, t: int, mode: str, model: ChannelMod
                 best_pairs = [(i, j)]
             elif val == best:
                 best_pairs.append((i, j))
-    if best < 1:
+    if not best:
         # Every pair that shares an output is indistinguishable; the rest count 0.
         shared = set(never)
-        zero = [ij for ij in itertools.combinations(range(len(words)), 2) if ij not in shared]
-        if zero:
-            best, best_pairs = 0, zero
+        best_pairs = [ij for ij in itertools.combinations(range(len(words)), 2) if ij not in shared]
     return best, best_pairs, never
 
 
-def _canonical_pair(xi: tuple, xj: tuple, q: int) -> tuple:
-    """Relabel symbols by first occurrence across the concatenated pair."""
-    relabel: dict[int, int] = {}
-    for s in xi + xj:
-        if s not in relabel:
-            relabel[s] = len(relabel)
-    a = tuple(relabel[s] for s in xi)
-    b = tuple(relabel[s] for s in xj)
+def _canonical_pair(xi: str, xj: str) -> tuple[str, str]:
+    """Relabel symbols by first occurrence across the concatenated pair, in
+    raw form: the first symbol seen becomes 0, the next new one 1, ..."""
+    seen = "".join(dict.fromkeys(xi + xj))
+    relabel = str.maketrans(seen, alphabet(len(seen)))
+    a, b = xi.translate(relabel), xj.translate(relabel)
     return (a, b) if a <= b else (b, a)
 
 
@@ -249,13 +242,18 @@ def extremal_search(
 ) -> ExtremalResult:
     """Exhaustive search for the word pairs hardest to distinguish.
 
-    Deletion errors only.  Pairs that can never be distinguished (identical
-    full output collections, possible when n < 2t+2) are excluded from the
-    maximum and reported separately.  `searched_pairs` is C(q^n, 2), though
-    only the pairs sharing an output are visited (see the module docstring
-    for the cost).  Refuses when q^n times the pattern count times the
-    supersequences of one output exceeds `budget`.  `jobs` is accepted and
-    has no effect: the scan runs in one process.
+    Deletion errors only.  Words are built and scanned in raw form (see
+    words.py) and wrapped as Words only for the result.  Pairs that can
+    never be distinguished (identical full output collections, possible
+    when n < 2t+2) are excluded from the maximum and reported separately.
+    A pair sharing no output counts 0; when no pair is distinguishable at
+    all (as for n = 0, or t = n in the exactly mode) the count is 0 and
+    `pairs` is empty.  `canonical` lists each pair once up to a relabelling
+    of symbols, relabelled by first occurrence.  `searched_pairs` is
+    C(q^n, 2), though only the pairs sharing an output are visited (see the
+    module docstring for the cost).  Refuses when q^n times the pattern
+    count times the supersequences of one output exceeds `budget`.  `jobs`
+    is accepted and has no effect: the scan runs in one process.
     """
     mode = check_mode(mode)
     if not 0 <= t <= n:
@@ -271,21 +269,16 @@ def extremal_search(
     # nothing with it.  It stays while the benchmark's traced run times it
     # as `oracle.presearch_ms`, and can go with a change to that metric in
     # `seqbench/`.
-    initial_best = -1
+    initial_best = 0
     if q > 2 and model is not ChannelModel.TRADITIONAL:
         initial_best = extremal_search(n, 2, t, mode, model, budget=budget).n_max_confusable
 
-    words = list(itertools.product(range(q), repeat=n))
+    words = list(map("".join, itertools.product(alphabet(q), repeat=n)))
     best, pair_ids, never_ids = _scan_pairs(words, n, t, mode, model, initial_best)
-    to_word = lambda i: Word(words[i], q)
+    to_word = lambda i: Word.from_raw(words[i], q)
     if canonical:
-        seen = set()
-        pairs = []
-        for i, j in pair_ids:
-            key = _canonical_pair(words[i], words[j], q)
-            if key not in seen:
-                seen.add(key)
-                pairs.append((Word(key[0], q), Word(key[1], q)))
+        keys = dict.fromkeys(_canonical_pair(words[i], words[j]) for i, j in pair_ids)
+        pairs = [(Word.from_raw(a, q), Word.from_raw(b, q)) for a, b in keys]
     else:
         pairs = [(to_word(i), to_word(j)) for i, j in pair_ids]
     never = [(to_word(i), to_word(j)) for i, j in never_ids]

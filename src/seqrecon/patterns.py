@@ -237,13 +237,10 @@ def _apply_draw(draw, x_raw: str, symbols: str) -> str:
 
 
 def _sample_range(getrandbits, m: int, k: int) -> list[int]:
-    """random.Random.sample(range(m), k), in selection order, through the same
-    getrandbits calls.  Like the stdlib, it swap-removes from a pool of all m
-    values when that list is smaller than a k-entry set, and otherwise redraws
-    any value already taken.  One or two picks, the shapes of one edit or of
-    one deletion plus one substitution, make those calls without building
-    the pool or the set."""
-    setsize = 21
+    """rng.sample(range(m), k), where getrandbits is rng's bound method.
+    One or two picks, the shapes of one edit or of one deletion plus one
+    substitution, are drawn here through the same getrandbits calls as the
+    stdlib makes, without its pool of m values or its set of taken ones."""
     if k == 1 or k == 2:
         bits = m.bit_length()
         j = getrandbits(bits)
@@ -251,9 +248,10 @@ def _sample_range(getrandbits, m: int, k: int) -> list[int]:
             j = getrandbits(bits)
         if k == 1:
             return [j]
-        if m <= setsize:
-            # The pool path: pick from the m - 1 values left after the last
-            # one took j's place.
+        if m <= 21:
+            # The stdlib's pool path, taken while m is at most its set size
+            # of 21: pick from the m - 1 values left after the last one took
+            # j's place.
             top = m - 1
             bits = top.bit_length()
             i = getrandbits(bits)
@@ -264,28 +262,7 @@ def _sample_range(getrandbits, m: int, k: int) -> list[int]:
         while i >= m or i == j:
             i = getrandbits(bits)
         return [j, i]
-    if k > 5:
-        setsize += 4 ** math.ceil(math.log(k * 3, 4))
-    picked = []
-    if m <= setsize:
-        pool = list(range(m))
-        for top in range(m, m - k, -1):
-            bits = top.bit_length()
-            j = getrandbits(bits)
-            while j >= top:
-                j = getrandbits(bits)
-            picked.append(pool[j])
-            pool[j] = pool[top - 1]
-    else:
-        taken = set()
-        bits = m.bit_length()
-        for _ in range(k):
-            j = getrandbits(bits)
-            while j >= m or j in taken:
-                j = getrandbits(bits)
-            taken.add(j)
-            picked.append(j)
-    return picked
+    return getrandbits.__self__.sample(range(m), k)
 
 
 class PatternSampler:
@@ -296,10 +273,11 @@ class PatternSampler:
     symbols) choices of at most t_del deletions and t_sub substitutions.  A
     draw picks the insertion length and the edit counts using the exact
     integer weights, then picks positions uniformly without replacement, so
-    no pattern is drawn and rejected.  Every number is drawn through
-    rng.getrandbits in exactly the calls that random.Random.randrange and
-    random.Random.sample make, so a seeded generator gives the same patterns,
-    and is left in the same state, as a draw written with those two.  Draws
+    no pattern is drawn and rejected.  Each number is drawn as
+    rng.randrange draws it and each set of positions as rng.sample picks it:
+    the inline loops and _sample_range's short paths make the same
+    getrandbits calls, so a seeded generator gives the same patterns, and
+    is left in the same state, as a draw written with those two.  Draws
     consume the generator identically whether or not the pattern is
     materialised against a concrete word.
     """

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import random
+import statistics
 import warnings
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
@@ -64,24 +65,6 @@ class SimResult:
     failures: int = 0
     wrong_decodes: int = 0
     samples: int = 0
-
-
-def _median_from_histogram(hist: Counter) -> float | None:
-    total = sum(hist.values())
-    if total == 0:
-        return None
-    lower_rank = (total - 1) // 2
-    upper_rank = total // 2
-    acc = 0
-    lower = upper = None
-    for reads in sorted(hist):
-        acc += hist[reads]
-        if lower is None and acc > lower_rank:
-            lower = reads
-        if acc > upper_rank:
-            upper = reads
-            break
-    return (lower + upper) / 2 if lower != upper else float(lower)
 
 
 def _run_trials(args) -> tuple[Counter, int, int]:
@@ -141,7 +124,7 @@ def run_sim(spec: SimSpec) -> SimResult:
     average = sum(r * c for r, c in hist.items()) / halted if halted else None
     return SimResult(
         average=average,
-        median=_median_from_histogram(hist),
+        median=float(statistics.median(hist.elements())) if halted else None,
         histogram=dict(sorted(hist.items())),
         failures=failures,
         wrong_decodes=wrong,

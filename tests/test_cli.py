@@ -135,6 +135,42 @@ def test_extremal_subcommand(capsys):
     assert ["000100", "001000"] in record["pairs"]
 
 
+# sha256 of the concatenated stdout of `extremal` over both modes, all three
+# models, and without then with --canonical, per (q, n, t).  t = n - 1 keeps
+# one symbol per output and t = n keeps none; at t = n in the exactly mode no
+# pair is distinguishable and the count is 0.
+EXTREMAL_DIGESTS = {
+    (2, 5, 0): "1089676c2bcaa6b1506abc1e8aed9bc70a97875b91823899021c1660fd162bb8",
+    (2, 5, 1): "353f2b65c4bc2dad1aaaa4bb0e6b317a88b8d92043c6729dd61a3a4056e160d3",
+    (2, 5, 2): "948cb22128f45063e58d3403c764f63917314abeb6f6a8837dbe0d63d5ac83ec",
+    (2, 5, 3): "c4674b64853ddd0b054f21c2decff96a03eb0981e63461643c8d6a2688b62834",
+    (2, 5, 4): "67307c8fa9938e0184faf37a1e9df9641a6e8fe3b15831a096e6f7c1e7e22f10",
+    (2, 5, 5): "f97d611a2f189f84148f9e2657719df9a1714be3398f843907824b88f26b831f",
+    (3, 4, 1): "717490e3c0f36a35086813b017d427825c948622c4383272387e9f4ab4713071",
+    (3, 4, 2): "ce6e658d9e8ff9c5a14a3d3f93b2b4f089ef0739a33a02e2df8c884e044c4ae6",
+    (3, 4, 3): "8079c3550b4e6c6f5e4d1ebad1407ade9e416e37ff1c83c5910d5cff6d89c803",
+    (3, 4, 4): "5c7efadc24ac6ca0c3ffd6cc29b1f510b8a84baac72e2aeff7c65dac15f1d376",
+    (4, 4, 1): "e72ed1bcc3d11a90beb7368e9388f154f3552bbf76e25c8e0a405dd40d670f00",
+    (4, 4, 3): "7cd5e885204cc98f99d1913cc568590608d1584be4b702a1d38504d3cc8f5a3d",
+    (4, 4, 4): "208cbfbd20f91a0716b56e01e24a9894646947cedafb7e2a2de52821ca7c075f",
+}
+
+
+@pytest.mark.parametrize("q, n, t", sorted(EXTREMAL_DIGESTS))
+def test_extremal_stdout_is_pinned(capsys, q, n, t):
+    digest = hashlib.sha256()
+    for mode in ("exactly", "at-most"):
+        for model in ("traditional", "multiset", "non-multiset"):
+            for canonical in ((), ("--canonical",)):
+                code, out = run_cli(
+                    capsys, "extremal", "--n", str(n), "--q", str(q), "--t", str(t),
+                    "--mode", mode, "--model", model, *canonical,
+                )
+                assert code == 0
+                digest.update(out.encode())
+    assert digest.hexdigest() == EXTREMAL_DIGESTS[q, n, t]
+
+
 def test_extremal_budget_default_is_the_search_default():
     args = build_parser().parse_args(
         ["extremal", "--n", "4", "--q", "2", "--t", "1", "--model", "non-multiset"]
@@ -148,6 +184,12 @@ def test_code_subcommand(capsys):
     assert record["top_two_threshold"] == 9
     assert record["is_codeword"] is True
     assert record["excluded_count"] == 67584
+
+
+def test_code_zero_denominator_p_is_an_error_record(capsys):
+    code, out = run_cli(capsys, "code", "--q", "4", "--n", "5", "--p", "1/0")
+    assert code == 1
+    assert json.loads(out) == {"error": "p=1/0 has a zero denominator", "hypothesis_ok": False}
 
 
 def test_decode_from_file(capsys, tmp_path):

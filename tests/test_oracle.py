@@ -273,6 +273,14 @@ def test_canonical_flag_dedupes_symbol_relabelings():
     assert len(canon.pairs) <= len(plain.pairs)
 
 
+@pytest.mark.parametrize("n, q, t, model", [(1, 2, 1, M), (2, 2, 2, TR), (0, 2, 0, NM), (0, 3, 0, M)])
+def test_no_distinguishable_pair_counts_zero(n, q, t, model):
+    result = extremal_search(n, q, t, "exactly", model)
+    assert result.n_max_confusable == 0
+    assert result.pairs == []
+    assert len(result.indistinguishable) == result.searched_pairs == math.comb(q**n, 2)
+
+
 def test_budget_guard():
     with pytest.raises(ValueError):
         extremal_search(10, 2, 2, "at_most", M, budget=1000)
@@ -355,7 +363,7 @@ def all_pairs_reference(n, q, t, mode, model):
         Counter(tuple(s for k, s in enumerate(x.symbols) if k not in cut) for cut in cuts)
         for x in words
     ]
-    best, pairs, never = -1, [], []
+    best, pairs, never = 0, [], []  # 0 with no pairs when none is distinguishable
     for i, j in itertools.combinations(range(len(words)), 2):
         oi, oj = outs[i], outs[j]
         common = [y for y in oi if y in oj]
@@ -398,7 +406,7 @@ def test_extremal_search_matches_all_pairs_reference(q, n, t):
             if t == 0:  # no pair shares an output: every pair attains count 0
                 assert got[0] == 0 and len(got[1]) == got[3]
             if t == n and mode == "exactly":  # every word yields only the empty output
-                assert got[1] == [] and len(got[2]) == got[3]
+                assert got[:2] == (0, []) and len(got[2]) == got[3]
 
 
 @pytest.mark.parametrize("n", [11, 12])

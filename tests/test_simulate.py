@@ -137,6 +137,22 @@ PINNED_RUNS = [
 ]
 
 
+# The median run_sim reports for each pinned row, recorded when it was
+# computed by a histogram walk of its own: two of them fall between two
+# halting trials' counts.
+PINNED_MEDIANS = {
+    (4, 20, 1, 1, 1, 12, None): 277.0,
+    (4, 100, 1, 1, 1, 12, None): 305.0,
+    (4, 200, 1, 1, 1, 12, None): 220.0,
+    (4, 100, 0, 0, 1, 20, None): 6.5,
+    (4, 100, 0, 1, 1, 20, None): 23.0,
+    (4, 100, 0, 0, 2, 20, None): 32.0,
+    (5, 60, 1, 1, 1, 8, None): 348.5,
+    (13, 40, 0, 1, 1, 12, None): 29.0,
+    (4, 20, 1, 1, 1, 12, 200): 165.0,
+}
+
+
 @pytest.mark.filterwarnings("ignore::UserWarning")
 @pytest.mark.parametrize("row, histogram, failures", PINNED_RUNS)
 def test_fixed_seed_histograms_are_pinned(row, histogram, failures):
@@ -145,5 +161,6 @@ def test_fixed_seed_histograms_are_pinned(row, histogram, failures):
         SimSpec(q=q, n=n, t_sub=ts, t_del=td, t_ins=ti, samples=samples, seed=13, max_reads=cap)
     )
     assert res.histogram == histogram
+    assert res.median == PINNED_MEDIANS[row]
     assert res.failures == failures
     assert res.wrong_decodes == 0
