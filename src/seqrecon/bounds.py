@@ -5,10 +5,8 @@ Each function validates the hypotheses under which its formula is known to
 hold and refuses out-of-domain calls rather than extrapolate.  The
 expectation helpers are the only floating-point surface.
 
-A sum of binomial terms is taken term by term, each from the one before by
-a ratio of small integers (_ratio_terms), so a term costs time linear in its
-digits; a math.comb per term costs far more once terms run to thousands of
-digits.
+Binomial sums are summed from words._ratio_terms (see words.py); V_2(n, t),
+the sum of C(n, i) over i <= t, is the sum of _ball_terms(2, n, t).
 """
 
 from __future__ import annotations
@@ -16,27 +14,11 @@ from __future__ import annotations
 import math
 import sys
 from fractions import Fraction
-from typing import Iterable, Iterator
 
 from .patterns import check_mode
+from .words import _ball_terms, _ratio_terms
 
 EULER_GAMMA = 0.5772156649015328606065120900824024
-
-
-def _ratio_terms(first: int, ratios: Iterable[tuple[int, int]]) -> Iterator[int]:
-    """first, then each next term as the one before times a over b, for the
-    (a, b) of `ratios` in order.  Every term must be an integer, so the
-    floor division is exact."""
-    term = first
-    yield term
-    for a, b in ratios:
-        term = term * a // b
-        yield term
-
-
-def _v2(n: int, t: int) -> int:
-    """Sum of C(n, i) over i <= t."""
-    return sum(_ratio_terms(1, ((n - i, i + 1) for i in range(t))))
 
 
 def levenshtein_deletion_bound(n: int, t: int) -> int:
@@ -44,7 +26,7 @@ def levenshtein_deletion_bound(n: int, t: int) -> int:
     word under exactly t deletions in the traditional model."""
     if not 1 <= t <= n - 2:
         raise ValueError(f"requires 1 <= t <= n-2, got t={t}, n={n}")
-    return 2 * _v2(n - t - 1, t - 1) + 1
+    return 2 * sum(_ball_terms(2, n - t - 1, t - 1)) + 1
 
 
 def levenshtein_insertion_bound(n: int, q: int, t: int) -> int:
@@ -71,7 +53,7 @@ def pattern_bound(n: int, t: int, mode: str) -> int:
         raise ValueError(f"requires t >= 1 and n >= 2t+2, got t={t}, n={n}")
     half = (n + 1) // 2 - 1
     if mode == "at_most":
-        return _v2(n, t) - _v2(half, t) + 1
+        return sum(_ball_terms(2, n, t)) - sum(_ball_terms(2, half, t)) + 1
     return math.comb(n, t) - math.comb(half, t) + 1
 
 
@@ -83,7 +65,7 @@ def multiset_t1_threshold(n: int) -> int:
     """
     if n < 2:
         raise ValueError(f"requires n >= 2, got {n}")
-    return _v2(n, 1) - _v2((n + 1) // 2 - 1, 1)
+    return sum(_ball_terms(2, n, 1)) - sum(_ball_terms(2, (n + 1) // 2 - 1, 1))
 
 
 def adjacent_singleton_channels(n: int, t: int, a: int) -> int:
@@ -109,7 +91,7 @@ def cumulative_half_bound(n: int, t: int) -> int:
     # Term i is C(half, floor(i/2)) C(half, ceil(i/2)); either step from i
     # to i + 1 raises one of the two lower indices from k = floor(i/2).
     crossing = sum(_ratio_terms(1, ((half - i // 2, i // 2 + 1) for i in range(t))))
-    return _v2(n, t) - crossing + 1
+    return sum(_ball_terms(2, n, t)) - crossing + 1
 
 
 def weight_gap_confusable(n: int, w1: int, b: int, t: int) -> int:

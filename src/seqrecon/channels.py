@@ -14,7 +14,7 @@ import math
 from collections import Counter
 
 from .patterns import PatternSampler, as_rng, check_mode
-from .words import Word, alphabet
+from .words import Word, alphabet, hamming_ball_volume, insertion_ball_volume
 
 ENUMERATION_LIMIT = 10_000_000  # most patterns enumerate_patterns builds on one word
 
@@ -109,19 +109,17 @@ def _sizes(t: int, mode: str):
 def pattern_space_size(n: int, q: int, t: int, mode: str, error_type: str = "deletion") -> int:
     """Deletion or insertion patterns of size exactly t, or at most t, on a
     q-ary word of length n: C(n, i) deletion and q^i * C(n+i, i) insertion
-    patterns of size i."""
-    mode = check_mode(mode)
+    patterns of size i; the at-most counts are the two ball volumes."""
+    exactly = check_mode(mode) == "exactly"
     if error_type == "deletion":
         if not 0 <= t <= n:
             raise ValueError(f"deletion budget t={t} infeasible for length {n}")
-        size = lambda i: math.comb(n, i)
-    elif error_type == "insertion":
+        return math.comb(n, t) if exactly else hamming_ball_volume(2, n, t)
+    if error_type == "insertion":
         if t < 0:
             raise ValueError("insertion budget must be non-negative")
-        size = lambda i: q**i * math.comb(n + i, i)
-    else:
-        raise ValueError(f"unknown error type {error_type!r}")
-    return sum(map(size, _sizes(t, mode)))
+        return q**t * math.comb(n + t, t) if exactly else insertion_ball_volume(q, n, t)
+    raise ValueError(f"unknown error type {error_type!r}")
 
 
 def deletion_sets(n: int, t: int, mode: str):

@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .words import Word, alphabet, symbol_counts
+from .words import Word, _ratio_terms, alphabet, symbol_counts
 
 # e = sum 1/k!; 45 terms give ~56 correct decimal digits, far beyond what any
 # ceiling near an integer boundary can distinguish for n up to 10^6.
@@ -72,19 +72,21 @@ def _top_two(counts: tuple[int, ...]) -> int:
     return first + second
 
 
+@functools.lru_cache(maxsize=16)
 def excluded_count(params: CodeParams) -> int:
     """C(q,2) * sum_{i>=threshold} C(n,i) 2^i (q-2)^(n-i), exactly.
 
     Counts, per symbol pair, the words whose positions in that pair reach the
     threshold; words with several qualifying pairs are counted once per pair,
-    so this can overcount the excluded words (it never undercounts).
+    so this can overcount the excluded words (it never undercounts).  Cached
+    per (q, n, p), so code_size_lower_bound after it does not sum again.
     """
     q, n = params.q, params.n
     tau = top_two_threshold(params)
-    if tau > n:
-        return 0
-    total = sum(math.comb(n, i) * 2**i * (q - 2) ** (n - i) for i in range(tau, n + 1))
-    return math.comb(q, 2) * total
+    # Term i + 1 is term i times 2(n-i) / ((i+1)(q-2)).
+    first = math.comb(n, tau) * 2**tau * (q - 2) ** (n - tau)
+    ratios = ((2 * (n - i), (i + 1) * (q - 2)) for i in range(tau, n))
+    return math.comb(q, 2) * sum(_ratio_terms(first, ratios))
 
 
 def code_size_lower_bound(params: CodeParams) -> int:

@@ -19,14 +19,14 @@ not overlap, and inserted symbols are never deleted or substituted.
 
 from __future__ import annotations
 
-import math
 import operator
 import random
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Sequence
 
-from .words import Word, alphabet, symbol_counts
+from .words import Word, _ball_terms, _check_alphabet_size, _insertion_terms, alphabet, symbol_counts
 
 
 def check_mode(mode: str) -> str:
@@ -283,8 +283,7 @@ class PatternSampler:
     """
 
     def __init__(self, n: int, q: int, t_sub: int, t_del: int, t_ins: int):
-        if q < 2:
-            raise ValueError(f"alphabet size must be >= 2, got {q}")
+        _check_alphabet_size(q)
         if min(t_sub, t_del, t_ins) < 0:
             raise ValueError("budgets must be non-negative")
         if t_sub + t_del > n:
@@ -296,20 +295,16 @@ class PatternSampler:
         self.t_ins = t_ins
         self._alphabet = alphabet(q)
 
-        self._ins_cum: list[tuple[int, int]] = []  # (cumulative weight, total length)
-        acc = 0
-        for i in range(t_ins + 1):
-            acc += q**i * math.comb(n + i, i)
-            self._ins_cum.append((acc, i))
-        self.insertion_space = acc
+        # (cumulative weight, total length)
+        self._ins_cum = list(zip(accumulate(_insertion_terms(q, n, t_ins)), range(t_ins + 1)))
+        self.insertion_space = self._ins_cum[-1][0]
 
+        # Shape (j, i) weighs C(n, j) deletion sets times ball term i on the n - j kept positions.
         self._edit_cum: list[tuple[int, int, int]] = []  # (cumulative, n_del, n_sub)
         acc = 0
-        for j in range(t_del + 1):
-            for i in range(t_sub + 1):
-                if i + j > n:
-                    continue
-                acc += math.comb(n, i + j) * math.comb(i + j, i) * (q - 1) ** i
+        for j, deletions in enumerate(_ball_terms(2, n, t_del)):
+            for i, term in enumerate(_ball_terms(q, n - j, t_sub)):
+                acc += deletions * term
                 self._edit_cum.append((acc, j, i))
         self.edit_space = acc
         self.pattern_space = self.insertion_space * self.edit_space

@@ -10,12 +10,15 @@ above that it runs on past "9" (":" is 10, ";" is 11) with no ceiling on q.
 Word stores the raw form itself, so Word.raw, as_raw and a Word's equality
 and hash touch no per-symbol work; its symbols are derived from the raw form
 when asked for.
+
+Every exact binomial sum of the package is summed from _ratio_terms: each
+term comes from the one before by a ratio of small integers, in time linear
+in its digits, where a math.comb per term costs far more at thousands of digits.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from typing import Iterable, Iterator
 
 _OFFSET = 48  # ord("0"): symbol s is the character chr(_OFFSET + s)
@@ -176,16 +179,36 @@ def hamming_distance(w: Word, z: Word) -> int:
     return sum(1 for a, b in zip(w.raw, z.raw) if a != b)
 
 
+def _ratio_terms(first: int, ratios: Iterable[tuple[int, int]]) -> Iterator[int]:
+    """first, then each next term as the one before times a over b, for the
+    (a, b) of `ratios` in order.  Every term must be an integer, so the
+    floor division is exact."""
+    term = first
+    yield term
+    for a, b in ratios:
+        term = term * a // b
+        yield term
+
+
+def _ball_terms(q: int, n: int, t: int) -> Iterator[int]:
+    """(q-1)^i * C(n, i), the words at Hamming distance i, for i <= min(t, n)."""
+    return _ratio_terms(1, (((q - 1) * (n - i), i + 1) for i in range(min(t, n))))
+
+
+def _insertion_terms(q: int, n: int, t: int) -> Iterator[int]:
+    """q^i * C(n+i, i), the insertion vectors of total length i, for i <= t."""
+    return _ratio_terms(1, ((q * (n + i + 1), i + 1) for i in range(t)))
+
+
 def hamming_ball_volume(q: int, n: int, t: int) -> int:
     """Number of words within Hamming distance t of a fixed word of length n.
 
     Exact integer: sum over i <= t of (q-1)^i * C(n, i).
     """
-    if q < 2:
-        raise ValueError(f"alphabet size must be >= 2, got {q}")
+    _check_alphabet_size(q)
     if not 0 <= t <= n:
         raise ValueError(f"radius t={t} outside [0, n={n}]")
-    return sum((q - 1) ** i * math.comb(n, i) for i in range(t + 1))
+    return sum(_ball_terms(q, n, t))
 
 
 def insertion_ball_volume(q: int, n: int, t: int) -> int:
@@ -194,8 +217,7 @@ def insertion_ball_volume(q: int, n: int, t: int) -> int:
     Equals sum over i <= t of q^i * C(n+i, i) (stars and bars); independent of
     the word the insertions are applied to.
     """
-    if q < 2:
-        raise ValueError(f"alphabet size must be >= 2, got {q}")
+    _check_alphabet_size(q)
     if n < 0 or t < 0:
         raise ValueError("n and t must be non-negative")
-    return sum(q**i * math.comb(n + i, i) for i in range(t + 1))
+    return sum(_insertion_terms(q, n, t))

@@ -129,6 +129,10 @@ def _term_by_term(name, *args):
         if mode == "at_most":
             return sum(c(n, i) - c(half, i) for i in range(t + 1)) + 1
         return c(n, t) - c(half, t) + 1
+    if name == "multiset_t1_threshold":
+        (n,) = args
+        half = (n + 1) // 2 - 1
+        return sum(c(n, i) - c(half, i) for i in range(2))
     if name == "cumulative_half_bound":
         n, t = args
         half = n // 2 - 1
@@ -148,6 +152,8 @@ def test_bound_sums_equal_their_term_by_term_definitions():
     for n in range(2, 31):
         for t in range(1, n + 1):
             cases = [("levenshtein_insertion_bound", n, q, t) for q in (2, 3, 4, 13)]
+            if t == 1:
+                cases.append(("multiset_t1_threshold", n))
             if t <= n - 2:
                 cases.append(("levenshtein_deletion_bound", n, t))
             if n >= 2 * t + 2:
@@ -163,6 +169,9 @@ def test_bound_sums_equal_their_term_by_term_definitions():
                 assert getattr(bounds, name)(*args) == _term_by_term(name, *args), (name, args)
                 checked += 1
     assert checked > 20000
+    # V_2(m, s) with s > m: V_2(1, 7) here, V_2(0, 1) in the two thresholds.
+    assert bounds.levenshtein_deletion_bound(10, 8) == 2 * (1 + 1) + 1
+    assert bounds.multiset_t1_threshold(2) == bounds.multiset_t1_threshold(3) == 2
 
 
 _PRIME = 2**61 - 1

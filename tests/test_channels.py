@@ -2,8 +2,15 @@ import math
 
 import pytest
 
-from seqrecon.channels import ChannelModel, OutputCollection, transmit_all, transmit_random
-from seqrecon.words import Word
+from seqrecon.channels import (
+    ChannelModel,
+    OutputCollection,
+    enumerate_patterns,
+    pattern_space_size,
+    transmit_all,
+    transmit_random,
+)
+from seqrecon.words import Word, hamming_ball_volume, insertion_ball_volume
 
 
 def W(text, q=2):
@@ -62,6 +69,36 @@ def test_multiset_totals_match_pattern_counts():
         at_most = transmit_all(x, t, "at_most", ChannelModel.MULTISET)
         assert exactly.total() == math.comb(6, t)
         assert at_most.total() == sum(math.comb(6, i) for i in range(t + 1))
+
+
+@pytest.mark.parametrize("error_type", ["deletion", "insertion"])
+@pytest.mark.parametrize("mode", ["exactly", "at_most"])
+def test_pattern_space_size_counts_enumerated_patterns(mode, error_type):
+    for q in (2, 3, 4):
+        for n in range(0, 6):
+            x = Word([i % q for i in range(n)], q)
+            for t in range(0, (n if error_type == "deletion" else 3) + 1):
+                size = pattern_space_size(n, q, t, mode, error_type)
+                assert size == sum(1 for _ in enumerate_patterns(x, t, mode, error_type))
+                if mode == "at_most" and error_type == "deletion":
+                    assert size == hamming_ball_volume(2, n, t)
+                elif mode == "at_most":
+                    assert size == insertion_ball_volume(q, n, t)
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((3, 2, 4, "at_most", "deletion"), "deletion budget t=4 infeasible for length 3"),
+        ((3, 2, -1, "exactly", "insertion"), "insertion budget must be non-negative"),
+        ((3, 2, 1, "exactly", "substitution"), "unknown error type 'substitution'"),
+    ],
+    ids=["deletion-t-above-n", "insertion-t-negative", "unknown-type"],
+)
+def test_pattern_space_size_refusals(args, message):
+    with pytest.raises(ValueError) as excinfo:
+        pattern_space_size(*args)
+    assert str(excinfo.value) == message
 
 
 def test_set_models_agree_with_multiset_support():

@@ -1,12 +1,15 @@
 import hashlib
 import inspect
 import json
+import os
 import random
+import subprocess
 import sys
 import time
 
 import pytest
 
+from seqrecon import codebook
 from seqrecon.bounds import pattern_bound
 from seqrecon.cli import build_parser, main
 from seqrecon.codebook import CodeParams, code_size_lower_bound
@@ -406,6 +409,42 @@ def test_code_counts_above_the_int_digit_limit_print(capsys):
     value = unlimited_str(code_size_lower_bound(CodeParams(q=4, n=8000)))
     assert len(value) > limit
     assert out == value + "\n"
+
+
+def test_code_sums_the_exclusions_once(capsys, monkeypatch):
+    # excluded_count and size_lower_bound share one exclusion sum.
+    sums, terms = [], codebook._ratio_terms
+
+    def counting_terms(first, ratios):
+        sums.append(first)
+        return terms(first, ratios)
+
+    codebook.excluded_count.cache_clear()
+    monkeypatch.setattr(codebook, "_ratio_terms", counting_terms)
+    code, out = run_cli(capsys, "code", "--q", "5", "--n", "40")
+    assert code == 0
+    record = json.loads(out)
+    assert record["size_lower_bound"] == 5**40 - record["excluded_count"]
+    assert len(sums) == 1
+
+
+def test_code_at_large_n_finishes():
+    # About 100 s when each term of the exclusion sum was its own math.comb.
+    proc = subprocess.run(
+        [sys.executable, "-m", "seqrecon", "code", "--q", "4", "--n", "60000"],
+        capture_output=True,
+        text=True,
+        timeout=30,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        record = json.loads(proc.stdout)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert record["size_lower_bound"] == 4**60000 - record["excluded_count"]
 
 
 def test_env_overrides_seed(capsys, monkeypatch):

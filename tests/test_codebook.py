@@ -52,10 +52,29 @@ def test_params_validation():
         is_codeword(Word.parse("000", 4), CodeParams(q=4, n=10))
 
 
+def excluded_reference(params):
+    """The exclusion overcount as a plain math.comb sum."""
+    q, n, tau = params.q, params.n, top_two_threshold(params)
+    return math.comb(q, 2) * sum(math.comb(n, i) * 2**i * (q - 2) ** (n - i) for i in range(tau, n + 1))
+
+
 def test_excluded_count_value():
     # q=4, n=10, threshold 9: 6 * (C(10,9) 2^9 2 + C(10,10) 2^10)
     assert excluded_count(CodeParams(q=4, n=10)) == 67584
     assert code_size_lower_bound(CodeParams(q=4, n=10)) == 4**10 - 67584
+    # The threshold's extremes: 1 for p just above 1, n for p above n.
+    for q in (4, 5, 8):
+        for n, p, tau in [(10, "1001/1000", 1), (37, "1001/1000", 1), (10, "11", 10), (37, "38", 37)]:
+            params = CodeParams(q=q, n=n, p=p)
+            assert top_two_threshold(params) == tau
+            assert excluded_count(params) == excluded_reference(params)
+
+
+@pytest.mark.parametrize("q", [4, 5, 8])
+def test_excluded_count_equals_its_binomial_sum_at_large_n(q):
+    for n, p in [(1000, None), (3000, None), (5000, None), (2000, "3/2")]:
+        params = CodeParams(q=q, n=n, p=p)
+        assert excluded_count(params) == excluded_reference(params), (n, p)
 
 
 @pytest.mark.parametrize("q,n", [(4, 6), (4, 8), (5, 6)])

@@ -237,6 +237,40 @@ def test_sampler_space_sizes():
     assert s.edit_space == 1 + 10 + 30 + math.comb(10, 2) * 2 * 3
 
 
+def _sampler_tables_reference(n, q, t_sub, t_del, t_ins):
+    """_ins_cum and _edit_cum as cumulative sums of math.comb products."""
+    ins, acc = [], 0
+    for i in range(t_ins + 1):
+        acc += q**i * math.comb(n + i, i)
+        ins.append((acc, i))
+    edit, acc = [], 0
+    for j in range(t_del + 1):
+        for i in range(t_sub + 1):
+            if i + j > n:
+                continue
+            acc += math.comb(n, i + j) * math.comb(i + j, i) * (q - 1) ** i
+            edit.append((acc, j, i))
+    return ins, edit
+
+
+def test_sampler_tables_equal_their_binomial_sums():
+    # Every budget up to 3 at small n, up to t_sub + t_del = n, the most the
+    # sampler accepts; then large n and budgets.
+    cases = [
+        (n, q, (t_sub, t_del, t_ins))
+        for n in range(0, 9)
+        for q in (2, 3, 4, 6)
+        for t_sub, t_del, t_ins in itertools.product(range(4), repeat=3)
+        if t_sub + t_del <= n
+    ]
+    cases += [(200, 4, (80, 120, 60)), (10_000, 5, (3, 2, 300)), (10_000, 2, (0, 150, 0))]
+    for n, q, budgets in cases:
+        sampler = PatternSampler(n, q, *budgets)
+        ins, edit = _sampler_tables_reference(n, q, *budgets)
+        assert sampler._ins_cum == ins and sampler._edit_cum == edit, (n, q, budgets)
+        assert sampler.pattern_space == ins[-1][0] * edit[-1][0]
+
+
 def test_single_insertion_patterns_uniform_and_output_frequencies():
     # q=2, n=3, only one insertion allowed: 9 equally likely patterns, four of
     # which turn 000 into 0000.

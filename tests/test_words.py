@@ -83,6 +83,15 @@ def test_binary_ball_of_full_radius_is_whole_space(n):
     assert hamming_ball_volume(2, n, n) == 2**n
 
 
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_hamming_ball_is_its_binomial_sum(q):
+    # Every radius up to n at small n, then n = 10^4 with radii in the hundreds.
+    cases = [(n, t) for n in range(0, 13) for t in range(0, n + 1)]
+    for n, t in cases + [(10_000, 1), (10_000, 250), (10_000, 600)]:
+        assert hamming_ball_volume(q, n, t) == sum((q - 1) ** i * math.comb(n, i) for i in range(t + 1))
+    assert hamming_ball_volume(q, 12, 12) == q**12
+
+
 def test_insertion_ball_volume_examples():
     assert insertion_ball_volume(2, 3, 1) == 9
     assert insertion_ball_volume(7, 5, 0) == 1
@@ -95,6 +104,9 @@ def test_insertion_ball_is_stars_and_bars_sum():
             for t in range(0, 3):
                 expect = sum(q**i * math.comb(n + i, i) for i in range(t + 1))
                 assert insertion_ball_volume(q, n, t) == expect
+        for t in (1, 250, 600):
+            expect = sum(q**i * math.comb(10_000 + i, i) for i in range(t + 1))
+            assert insertion_ball_volume(q, 10_000, t) == expect
 
 
 words_q4 = st.integers(1, 8).flatmap(
