@@ -118,7 +118,11 @@ def pattern_space_size(n: int, q: int, t: int, mode: str, error_type: str = "del
     if error_type == "insertion":
         if t < 0:
             raise ValueError("insertion budget must be non-negative")
-        return q**t * math.comb(n + t, t) if exactly else insertion_ball_volume(q, n, t)
+        if exactly:
+            # The one-term ball refuses n < 0 and q < 2, as the at-most count does.
+            insertion_ball_volume(q, n, 0)
+            return q**t * math.comb(n + t, t)
+        return insertion_ball_volume(q, n, t)
     raise ValueError(f"unknown error type {error_type!r}")
 
 

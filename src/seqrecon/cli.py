@@ -171,7 +171,9 @@ def _cmd_decode(args) -> tuple[dict, str]:
     stream = args.file if args.file else sys.stdin
     dec = StreamDecoder(cfg)
     # Lazy, so no line past the read cap is parsed; blank lines are not reads.
-    result = dec.read(Word.parse(line, args.q) for line in stream if line.strip())
+    # Word.parse strips too, which costs no copy on a stripped line.
+    lines = (line.strip() for line in stream)
+    result = dec.read(Word.parse(line, args.q) for line in lines if line)
     decoded = Word.from_raw(result, args.q).text if result else ""
     record = {"result": decoded, "reads_consumed": dec.reads}
     if dec.certificate is not None and decoded:

@@ -16,24 +16,29 @@ output into a stored token, its symbol counts and its length, and turns a
 token back into the raw form of seqrecon.words (one character per symbol,
 for every q) only for the six words of a certificate.  The default,
 RawOutputs, takes outputs that are words: the token is the raw form, which
-a Word stores, so pushing one costs no conversion.  Simulation stores raw
-draws of a PatternSampler instead and counts them in O(t)
-(patterns.DrawOutputs).  StreamDecoder.read is the one read loop: it stops
-at the first decision, at the end of the stream or at DecoderConfig.read_cap
-reads.
+a Word stores, so pushing one costs no conversion; a Word is already
+checked, so q - 1 of its symbols are counted and the last count is taken
+from its length.  Simulation stores raw draws of a PatternSampler instead
+and counts them in O(t) (patterns.DrawOutputs).  StreamDecoder.read is the
+one read loop: it stops at the first decision, at the end of the stream or
+at DecoderConfig.read_cap reads.
 
 A read pays for what it changes.  Frontier.update skips the pair slots and,
 apart, the triple slots anchored at a symbol the new output holds too many
-of to displace any of them, and marks the anchor triples of every slot whose
-stored counts changed; the certificate scan checks only those, since the
-check reads the counts each slot stores.  The slots and anchor triples of
-each q are tabulated once per process (_slot_table), with one index over
-all slots, and each distinct slot is stored once: at q = 4 the count
-outside {a, b, c} is the count of the fourth symbol d, so triple slot
-(a, {b, c}) takes pair slot (a, d)'s rule and always holds the same output,
-and the table maps it there.  The merge that rebuilds the word makes four
-fixed tests a round, one per class of symbol, of which at most one can
-match (reconstruction_steps); its tables are built once per anchor triple.
+of to displace any of them.  It marks an anchor triple only when an input of
+its certificate check changes: the two scores of one of its six slots, or
+the stored counts of its y1.  A slot whose score improves marks every
+triple using it; a tie with other counts marks only the triples using the
+slot as y1.  The scan checks the marked triples alone, and is exact: an
+unmarked triple fails again the check it failed at the last scan.  The
+slots and anchor triples of each q are tabulated once per process
+(_slot_table), with one index over all slots, and each distinct slot is
+stored once: at q = 4 the count outside {a, b, c} is the count of the
+fourth symbol d, so triple slot (a, {b, c}) takes pair slot (a, d)'s rule
+and always holds the same output, and the table maps it there.  The merge
+that rebuilds the word makes four fixed tests a round, one per class of
+symbol, of which at most one can match (reconstruction_steps); its tables
+are built once per anchor triple.
 """
 
 from __future__ import annotations
@@ -120,6 +125,7 @@ class _SlotTable(NamedTuple):
     tri_groups: tuple  # per symbol a: ((slot, b, c), ...) of the triple slots of its own
     anchors: tuple  # (s1, s2, s3, k1, ..., k6) per permutation, in lexicographic order
     slot_anchors: tuple  # per slot: indices into anchors of the triples using it
+    y1_anchors: tuple  # per slot: indices into anchors of the triples using it as k1
 
 
 @functools.lru_cache(maxsize=16)
@@ -145,6 +151,7 @@ def _slot_table(q: int) -> _SlotTable:
 
     anchors = []
     slot_anchors = [[] for _ in range(size)]
+    y1_anchors = [[] for _ in range(size)]
     for i, (s1, s2, s3) in enumerate(itertools.permutations(symbols, 3)):
         slots = (
             pair_index[(s3, s1)],
@@ -157,6 +164,7 @@ def _slot_table(q: int) -> _SlotTable:
         anchors.append((s1, s2, s3) + slots)
         for k in slots:
             slot_anchors[k].append(i)
+        y1_anchors[slots[0]].append(i)
     return _SlotTable(
         pair_index,
         tri_index,
@@ -164,6 +172,7 @@ def _slot_table(q: int) -> _SlotTable:
         tuple(map(tuple, tri_groups)),
         tuple(anchors),
         tuple(map(tuple, slot_anchors)),
+        tuple(map(tuple, y1_anchors)),
     )
 
 
@@ -191,11 +200,19 @@ class Frontier:
     none (q = 4): an output with more a's than a gate displaces none of
     those slots, ties included, so update() skips them.  `_gate[a]`, the
     larger of the two, is tested first, so a symbol that passes neither
-    costs one test.  `pending` holds the indices, in the table's
-    lexicographic anchor order, of the anchor triples that use a slot whose
-    stored counts changed; the first output changes every slot and marks
-    every anchor triple at once.  find_certificate() checks only those, and
-    the caller clears the set after a scan that found nothing.
+    costs one test.
+
+    `pending` holds the indices into the table's anchors of the anchor
+    triples whose check may have changed since the last scan:
+    find_certificate() checks only those, and the caller clears the set
+    after a scan that found nothing.  The check reads each of the six
+    slots' M_a and second score, and of y1, pair slot (s3, s1), also the
+    stored counts (its length and M_s2).  So a displacement that lowers M_a
+    or raises the second score marks every triple using the slot.  A tie,
+    which keeps both scores, marks only the triples using the slot as y1
+    (`y1_anchors`, pair slots only), and only when the stored counts
+    change; a triple slot's tie marks nothing.  The first output enters
+    every slot and marks every anchor triple once.
     """
 
     __slots__ = (
@@ -229,31 +246,31 @@ class Frontier:
 
     def update(self, token, counts: tuple[int, ...], length: int) -> None:
         """Offer one output's token, with its symbol counts and length, to
-        every slot; mark as pending the anchor triples of every slot whose
-        stored counts changed (a token swap with identical counts is no
-        change)."""
+        every slot, and mark as pending the anchor triples whose check may
+        have changed (see the class docstring)."""
         table = self._table
+        if self._counts[0] is None:
+            self._enter_first(token, counts, length)
+            return
         gate, pair_gate, tri_gate, pending = self._gate, self._pair_gate, self._tri_gate, self.pending
         words, stored, ma, mb, slot_anchors = self._word, self._counts, self._ma, self._mb, table.slot_anchors
-        if stored[0] is None:
-            # The first output enters every slot: mark every anchor triple at
-            # once, and store its counts first so that no slot marks its own.
-            pending.update(range(len(table.anchors)))
-            stored[:] = [counts] * len(stored)
         for a, ca in enumerate(counts):
             if ca > gate[a]:
                 continue
             if ca <= pair_gate[a]:
                 lowered = False
                 for k, b in table.pair_groups[a]:
-                    if ca <= ma[k] and counts[b] >= mb[k]:
-                        if stored[k] != counts:
+                    cb = counts[b]
+                    if ca <= ma[k] and cb >= mb[k]:
+                        if ca < ma[k] or cb > mb[k]:
                             pending.update(slot_anchors[k])
-                        lowered = lowered or ca < ma[k]
+                            lowered = lowered or ca < ma[k]
+                        elif stored[k] != counts:
+                            pending.update(table.y1_anchors[k])
                         words[k] = token
                         stored[k] = counts
                         ma[k] = ca
-                        mb[k] = counts[b]
+                        mb[k] = cb
                 if lowered:
                     pair_gate[a] = max([ma[k] for k, _ in table.pair_groups[a]])
                     gate[a] = max(pair_gate[a], tri_gate[a])
@@ -263,9 +280,9 @@ class Frontier:
                 for k, b, c in table.tri_groups[a]:
                     out = rest - counts[b] - counts[c]
                     if ca <= ma[k] and out >= mb[k]:
-                        if stored[k] != counts:
+                        if ca < ma[k] or out > mb[k]:
                             pending.update(slot_anchors[k])
-                        lowered = lowered or ca < ma[k]
+                            lowered = lowered or ca < ma[k]
                         words[k] = token
                         stored[k] = counts
                         ma[k] = ca
@@ -273,6 +290,27 @@ class Frontier:
                 if lowered:
                     tri_gate[a] = max([ma[k] for k, _, _ in table.tri_groups[a]])
                     gate[a] = max(pair_gate[a], tri_gate[a])
+
+    def _enter_first(self, token, counts: tuple[int, ...], length: int) -> None:
+        """Store the first output in every slot, since it beats every initial
+        bound, and mark every anchor triple once."""
+        table = self._table
+        ma, mb = self._ma, self._mb
+        for a, ca in enumerate(counts):
+            for k, b in table.pair_groups[a]:
+                ma[k] = ca
+                mb[k] = counts[b]
+            for k, b, c in table.tri_groups[a]:
+                ma[k] = ca
+                mb[k] = length - ca - counts[b] - counts[c]
+        self._word[:] = [token] * len(ma)
+        self._counts[:] = [counts] * len(ma)
+        # Every slot of a's group stores M_a = counts[a]; with no triple
+        # slots of its own (q = 4) the triple gate stays -1.
+        self._gate[:] = self._pair_gate[:] = counts
+        if table.tri_groups[0]:
+            self._tri_gate[:] = counts
+        self.pending.update(range(len(table.anchors)))
 
     def get_pair(self, a: int, b: int):
         """(stored token, M_a, M_b) for slot (a, b)."""
@@ -302,23 +340,25 @@ class Certificate:
 
 
 def find_certificate(frontier: Frontier, cfg: DecoderConfig) -> Certificate | None:
-    """Check the frontier's pending anchor triples in lexicographic order;
-    return the first whose six slots satisfy all seven count equalities, or
-    None.  The certificate's words are the six slots' stored tokens.
+    """Check the frontier's pending anchor triples, in no particular order;
+    return the lowest-index one (lexicographic order) whose six slots
+    satisfy all seven count equalities, or None.  The certificate's words
+    are the six slots' stored tokens.
 
-    The check reads stored counts only, so a triple whose six slots are
-    unchanged since a scan that rejected it still fails: the first pending
-    hit is the first hit of a scan over all triples.
+    A triple that is not pending still fails the check it failed at an
+    earlier scan (see Frontier), so the lowest pending hit is the first hit
+    of a scan over all triples.
     """
     swing = cfg.count_swing
     grow = cfg.t_ins + cfg.t_sub
     anchors = frontier._table.anchors
-    ma, mb, stored, words = frontier._ma, frontier._mb, frontier._counts, frontier._word
+    ma, mb, stored = frontier._ma, frontier._mb, frontier._counts
     # Each count compared is a stored scalar: pair slot k1 = (s3, s1) stores
     # M_s3 in ma and M_s1 in mb, k2 = (s1, s2) M_s1 and M_s2, k3 = (s2, s3)
     # M_s2 and M_s3; triple slots k4, k5, k6 store M_s1, M_s2, M_s3 in ma
     # and the count outside the triple in mb.
-    for i in sorted(frontier.pending):
+    first = None
+    for i in frontier.pending:
         s1, s2, s3, k1, k2, k3, k4, k5, k6 = anchors[i]
         m2 = ma[k2]
         if mb[k1] != m2 + swing:
@@ -330,9 +370,13 @@ def find_certificate(frontier: Frontier, cfg: DecoderConfig) -> Certificate | No
             continue
         c1 = stored[k1]
         target = sum(c1) - mb[k1] - c1[s2] - m1 + grow
-        if mb[k4] == target and mb[k5] == target and mb[k6] == target:
-            return Certificate((s1, s2, s3), (words[k1], words[k2], words[k3], words[k4], words[k5], words[k6]))
-    return None
+        if mb[k4] == target and mb[k5] == target and mb[k6] == target and (first is None or i < first):
+            first = i
+    if first is None:
+        return None
+    words = frontier._word
+    s1, s2, s3, *slots = anchors[first]
+    return Certificate((s1, s2, s3), tuple([words[k] for k in slots]))
 
 
 @functools.lru_cache(maxsize=256)
@@ -407,16 +451,28 @@ def reconstruct(cert: Certificate, cfg: DecoderConfig) -> str:
 
 class RawOutputs:
     """StreamDecoder's default output adapter: an output is a raw str, a Word
-    or a sequence of symbol ints, and its token is its raw form."""
+    or a sequence of symbol ints, and its token is its raw form.
 
-    __slots__ = ("_alphabet",)
+    A Word of this alphabet, or of a smaller one, holds only alphabet
+    symbols, which its constructors checked: read() counts the first q - 1
+    and takes the last count from the length.  Any other output is counted
+    symbol by symbol and checked against the alphabet (symbol_counts).
+    """
+
+    __slots__ = ("q", "_alphabet", "_head")
 
     def __init__(self, q: int):
+        self.q = q
         self._alphabet = alphabet(q)
+        self._head = self._alphabet[:-1]
 
     def read(self, y) -> tuple:
         """(raw form, symbol counts, length); raises ValueError on a symbol
         outside the alphabet."""
+        if isinstance(y, Word) and y.q <= self.q:
+            raw = y.raw
+            head = tuple(map(raw.count, self._head))
+            return raw, head + (len(raw) - sum(head),), len(raw)
         raw = as_raw(y)
         return raw, symbol_counts(raw, self._alphabet), len(raw)
 

@@ -14,6 +14,7 @@ is reproducible and independent of how trials are split across workers.
 from __future__ import annotations
 
 import csv
+import functools
 import random
 import statistics
 import warnings
@@ -67,9 +68,14 @@ class SimResult:
     samples: int = 0
 
 
+# One sampler per (n, q, budgets), shared by every run_sim in a process: its
+# tables depend on the point only, and draw keeps no state.
+_sampler = functools.lru_cache(maxsize=16)(PatternSampler)
+
+
 def _run_trials(args) -> tuple[Counter, int, int]:
     cfg, seed, lo, hi = args
-    sampler = PatternSampler(cfg.n, cfg.q, cfg.t_sub, cfg.t_del, cfg.t_ins)
+    sampler = _sampler(cfg.n, cfg.q, cfg.t_sub, cfg.t_del, cfg.t_ins)
     tau = top_two_threshold(CodeParams(q=cfg.q, n=cfg.n))
     symbols = alphabet(cfg.q)
     hist: Counter = Counter()

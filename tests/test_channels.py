@@ -92,8 +92,17 @@ def test_pattern_space_size_counts_enumerated_patterns(mode, error_type):
         ((3, 2, 4, "at_most", "deletion"), "deletion budget t=4 infeasible for length 3"),
         ((3, 2, -1, "exactly", "insertion"), "insertion budget must be non-negative"),
         ((3, 2, 1, "exactly", "substitution"), "unknown error type 'substitution'"),
+        ((-1, 2, 2, "exactly", "insertion"), "n and t must be non-negative"),
+        ((-1, 2, 2, "at_most", "insertion"), "n and t must be non-negative"),
+        ((-1, 2, 0, "exactly", "insertion"), "n and t must be non-negative"),
+        ((4, 1, 2, "exactly", "insertion"), "alphabet size must be >= 2, got 1"),
+        ((4, 1, 2, "at_most", "insertion"), "alphabet size must be >= 2, got 1"),
+        ((4, 0, 0, "exactly", "insertion"), "alphabet size must be >= 2, got 0"),
     ],
-    ids=["deletion-t-above-n", "insertion-t-negative", "unknown-type"],
+    ids=[
+        "deletion-t-above-n", "insertion-t-negative", "unknown-type", "exactly-n-negative",
+        "at-most-n-negative", "exactly-n-negative-t-0", "exactly-q-1", "at-most-q-1", "exactly-q-0-t-0",
+    ],
 )
 def test_pattern_space_size_refusals(args, message):
     with pytest.raises(ValueError) as excinfo:

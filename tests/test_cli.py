@@ -539,6 +539,36 @@ def test_decode_stdout_q8_certificate(capsys, tmp_path):
     ))
 
 
+# (q, n, budgets, stream, reads consumed, anchors, sha256 of the whole stdout)
+# for honest streams of a seeded codeword: five at q=8, n=400, the decode
+# workload's point, and two at q=5.
+DECODE_PINS = [
+    (8, 400, (1, 1, 1), 0, 378, [0, 1, 7], "c2bc858e314a6797f339abdf7f299a41405210b8dfc96c832d919411271a29fd"),
+    (8, 400, (1, 1, 1), 1, 702, [0, 2, 1], "548896ebbfbec21a412fd9880b91b9f5cf6dccde7841732ef1c973295d2c6f0f"),
+    (8, 400, (1, 1, 1), 2, 757, [2, 4, 3], "a53c5780a0a819178005b95c0eab3950639e6fa6b2763adb1e10d88116ab4748"),
+    (8, 400, (1, 1, 1), 3, 804, [0, 1, 5], "18e91f0845f6a8f0db4f6adf33d1c5d2de3d250087563d9da222631aa231a6a5"),
+    (8, 400, (1, 1, 1), 4, 1493, [0, 7, 1], "68477128263cc703f13d008982e472bc3e272e13066b348face29795a5e67aaa"),
+    (5, 60, (1, 1, 1), 0, 452, [1, 4, 3], "52bbb5d4421730c25fffe9c48903d2849ce8a9905aba35b61ca29e4313aa909c"),
+    (5, 30, (0, 1, 2), 1, 76, [0, 1, 4], "948ac500d31c174c5b7f62a20d5e0ef61ad23d03b19688f24c50c50009e84956"),
+]
+
+
+@pytest.mark.parametrize("q, n, budgets, stream, reads, anchors, digest", DECODE_PINS)
+def test_decode_stdout_is_pinned(capsys, tmp_path, q, n, budgets, stream, reads, anchors, digest):
+    # The whole stdout, certificate words included, so a change of slot
+    # entry, marking or scan order shows.
+    rng = random.Random(f"decode-pin:{q}:{n}:{stream}")
+    x = codebook.sample_codeword(CodeParams(q, n), rng).raw
+    sampler = PatternSampler(n, q, *budgets)
+    lines = [sampler.apply_draw(sampler.draw(rng), x) for _ in range(4000)]
+    args = ("decode", "--q", str(q), "--n", str(n), "--ts", str(budgets[0]),
+            "--td", str(budgets[1]), "--ti", str(budgets[2]))
+    code, out = decode_lines(capsys, tmp_path, lines, args)
+    record = json.loads(out)
+    assert (code, record["result"], record["reads_consumed"], record["certificate"]["anchors"]) == (0, x, reads, anchors)
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_decode_stops_before_parsing_past_the_read_cap(capsys, tmp_path):
     lines = [FIX_ROWS[0], FIX_ROWS[1], "12003x1021", *FIX_ROWS[3:]]
     code, out = decode_lines(capsys, tmp_path, lines, DECODE_FIX + ("--max-reads", "2"))

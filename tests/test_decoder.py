@@ -103,6 +103,9 @@ def test_each_slot_is_stored_once(q, pairs, triples):
     for i, (_, _, _, *slots) in enumerate(table.anchors):
         assert len(set(slots)) == 6
         assert all(i in table.slot_anchors[k] for k in slots)
+        assert i in table.y1_anchors[slots[0]]
+    assert sum(map(len, table.y1_anchors)) == len(table.anchors)
+    assert not any(table.y1_anchors[pairs:])
     for anchors in table.slot_anchors:
         assert len(set(anchors)) == len(anchors)
 
@@ -225,6 +228,8 @@ def test_push_validates_outputs():
         dec.push("12")  # far too short
     with pytest.raises(ValueError):
         dec.push("1200321091")  # symbol 9 outside q=6
+    with pytest.raises(ValueError):
+        dec.push(Word.parse("1200321071", 8))  # a valid word of a larger alphabet
     dec2, out = feed(FIX_ROWS, FIX_CFG)
     assert out == FIX_X
     with pytest.raises(RuntimeError):
@@ -315,6 +320,18 @@ def test_decode_stream_accepts_int_tuples():
         stream = [apply_pattern(x, sampler.sample(rng, x)).symbols for _ in range(5000)]
         cfg = DecoderConfig(q=q, n=n, t_sub=0, t_del=0, t_ins=1)
         assert decode_stream(stream, cfg) == x
+
+
+@pytest.mark.parametrize("q", [4, 6, 12])
+def test_word_counts_equal_str_counts(q):
+    # A Word of the decoder's alphabet or a smaller one is counted with its
+    # last symbol taken from the length; the str path counts every symbol.
+    outputs = StreamDecoder(DecoderConfig(q, 10, 1, 1, 1)).outputs
+    rng = random.Random(f"word-counts:{q}")
+    for p in (2, q - 1, q):
+        for length in (0, 1, 9, 12):
+            w = Word([rng.randrange(p) for _ in range(length)], p)
+            assert outputs.read(w) == outputs.read(w.raw) == (w.raw, symbol_counts(w.raw, alphabet(q)), length)
 
 
 def test_zero_budget_push_rejects_symbols_outside_alphabet():
@@ -485,6 +502,33 @@ def test_incremental_decoder_matches_full_scan_and_ungated_update(q, n, reads, b
     if (n, budgets) == (40, (1, 1, 1)):
         # On this long q=8 stream some symbols pass one kind's gate only.
         assert {(True, False), (False, True)} <= passed
+
+
+@pytest.mark.parametrize("q", [4, 5])
+@pytest.mark.parametrize("budgets", [(0, 1, 1), (1, 0, 0), (0, 0, 1), (1, 0, 2)])
+def test_arbitrary_words_decode_like_the_full_scan(q, budgets):
+    # Words of the allowed lengths with seeded random symbols, not outputs
+    # of one word: a slot's stored counts change on ties, and triple slots
+    # improve alone, far more often than on honest streams.  After every
+    # push the result, the reads and the certificate are those of the
+    # ungated frontier with a full scan.
+    found = 0
+    for n in range(3, 6):
+        cfg = DecoderConfig(q, n, *budgets)
+        for stream in range(100):
+            rng = random.Random(f"arbitrary:{q}:{budgets}:{n}:{stream}")
+            dec, ref = StreamDecoder(cfg), _ReferenceFrontier(q)
+            for reads in range(1, 41):
+                y = "".join(rng.choices(alphabet(q), k=rng.choice(cfg.output_lengths)))
+                got = dec.push(y)
+                ref.offer(y)
+                expected = ref.certificate(cfg) if reads >= 6 else None
+                assert (dec.reads, dec.certificate) == (reads, expected)
+                assert got == (None if expected is None else reconstruct(expected, cfg))
+                if got is not None:
+                    found += 1
+                    break
+    assert found >= 10
 
 
 

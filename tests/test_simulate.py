@@ -2,6 +2,7 @@ import csv
 
 import pytest
 
+from seqrecon import simulate
 from seqrecon.simulate import CSV_COLUMNS, SimSpec, run_sim, run_sweep
 
 
@@ -22,6 +23,17 @@ def test_reproducible_and_parallel_consistent():
     assert a.histogram == b.histogram == c.histogram
     assert a.average == b.average == c.average
     assert a.failures == b.failures == c.failures
+
+
+def test_runs_at_one_point_share_one_sampler():
+    # The sampler's tables depend on (n, q, budgets) only, so repeated runs
+    # at one point build it once, whatever their seed or read cap.
+    simulate._sampler.cache_clear()
+    for seed in (1, 2):
+        run_sim(SimSpec(q=4, n=40, t_sub=0, t_del=1, t_ins=1, samples=5, seed=seed))
+        run_sim(SimSpec(q=4, n=40, t_sub=0, t_del=1, t_ins=1, samples=5, seed=seed, max_reads=50))
+    run_sim(SimSpec(q=5, n=40, t_sub=0, t_del=1, t_ins=1, samples=5))
+    assert (simulate._sampler.cache_info().misses, simulate._sampler.cache_info().hits) == (2, 3)
 
 
 def test_seed_changes_results():
