@@ -17,11 +17,15 @@ the smaller of the two totals:
                  smaller total into Y, so the whole shared set realises the
                  maximum: since c, c' >= 1, its smaller total covers |Y|.
 
-The extremal search decides all C(q^n, 2) word pairs but visits only those
-that share a deletion output: it indexes each output to the words producing
-it, then walks, for each word, the later producers of its outputs.  Its cost
-is about q^n * C(n, t) outputs times the number of supersequences of one
-output, against q^(2n) * C(n, t) for a scan of all pairs.
+The extremal search decides all C(q^n, 2) word pairs a word at a time, in
+packed ints: word j owns lane j, w bits wide, the narrowest of 8, 16, 32 and
+64 with 2^(w-1) above the pattern count, so each lane's top bit is a free
+guard bit.  An output with many producers is stored once as two packed ints,
+its producers' counts c_j(y) and their presence, and added with one int
+addition (the multiset min(c, c_j) by guard-bit subtraction); one with few
+producers adds them one by one to a lane buffer.  Pair rules run on all lanes
+at once, and only lanes that reach the best count so far are unpacked.
+Packed outputs take about (packed outputs) * q^n * w/8 bytes.
 """
 
 from __future__ import annotations
@@ -134,90 +138,143 @@ def _keep_getters(n: int, t: int, mode: str):
     return getters
 
 
-def _producer_rows(words: list[str], n: int, t: int, mode: str) -> list[list[tuple]]:
-    """Each word's deletion outputs, as (multiplicity, producers) rows.
-
-    `producers` is shared by every word with that output and holds each
-    producer's (word index, multiplicity), highest index first, so popping
-    it when the scan reaches word i leaves exactly the producers j > i.
-    """
-    getters = _keep_getters(n, t, mode)
-    index: dict[tuple | str, list[tuple[int, int]]] = {}
-    rows = []
-    for j, w in enumerate(words):
-        row = []
-        for y, c in Counter(getter(w) for getter in getters).items():
-            producers = index.setdefault(y, [])
-            producers.append((j, c))
-            row.append((c, producers))
-        rows.append(row)
-    for producers in index.values():
-        producers.reverse()
-    return rows
+def _at_least(a: int, b: int, guard: int) -> int:
+    """The guard bits of the lanes of packed ints where a >= b."""
+    return ((a | guard) - b) & guard
 
 
-def _scan_pairs(words: list[str], n: int, t: int, mode: str, model: ChannelModel, initial_best: int):
+def _lane_min(a: int, b: int, guard: int, w: int) -> int:
+    """Lane-wise minimum of packed ints: where a >= b, a loses a - b."""
+    d = (a | guard) - b
+    g = d & guard
+    return a - (d & (g - (g >> (w - 1))))
+
+
+def _scan_pairs(words: list[str], q: int, n: int, t: int, mode: str, model: ChannelModel, initial_best: int):
     """Best count, attaining pairs and indistinguishable pairs, as word indices.
 
-    Visits word i's producer rows, then its partners j > i in ascending
-    order, so pairs come out in (i, j) order.  A pair sharing no output
-    counts 0, and is listed only when no other pair counts more.
+    From the last word down, word i sums in each lane j < i how much of its
+    own and of word j's total their shared outputs cover (the cover rule of
+    the module docstring), then unpacks the lanes that reach `best` or cover
+    both totals.  A pair sharing no output counts 0, and is listed only when
+    no other pair counts more.
     """
-    rows = _producer_rows(words, n, t, mode)
-    traditional = model is ChannelModel.TRADITIONAL
-    if traditional:
-        totals = [len(row) for row in rows]
-    else:
-        totals = [sum(c for c, _ in row) for row in rows]
-    best = initial_best
-    best_pairs: list[tuple[int, int]] = []
-    never: list[tuple[int, int]] = []
-    for i, row in enumerate(rows):
-        # mine[j] and theirs[j]: how much of word i's and of word j's total
-        # their shared outputs cover under the cover rule of the module
-        # docstring (one sum serves both in the multiset and traditional
-        # models); the pair's count is the smaller one.
-        if model is ChannelModel.NON_MULTISET:
-            mine, theirs = {}, {}
-            get, get_theirs = mine.get, theirs.get
-            for c, producers in row:
-                producers.pop()
-                for j, cj in producers:
-                    mine[j] = get(j, 0) + c
-                    theirs[j] = get_theirs(j, 0) + cj
-        else:
-            mine = theirs = {}
-            get = mine.get
-            for c, producers in row:
-                producers.pop()
-                if traditional or c == 1:
-                    for j, _ in producers:
-                        mine[j] = get(j, 0) + 1
+    getters = _keep_getters(n, t, mode)
+    nonmultiset = model is ChannelModel.NON_MULTISET
+    size = len(words)
+    w, fmt = next((b, f) for b, f in ((8, "B"), (16, "H"), (32, "I"), (64, "Q")) if len(getters) < 1 << (b - 1))
+    # At most t, the empty deletion set keeps the whole word: no other word produces it.
+    whole = mode == "at_most"
+    getters = getters[whole:]
+    step = w // 8
+    # An output n - s long has hamming_ball_volume(q, n, s) producers; a visit
+    # adds about half of them to a lane buffer, or adds a packed int of
+    # size * step bytes a few times (four times as many for the multiset min).
+    work = size * step * (4 if model is ChannelModel.MULTISET else 1)
+    packed_lengths = {n - s for s in range(t + 1) if 200 * hamming_ball_volume(q, n, s) >= work}
+
+    index: dict[tuple | str, list] = {}
+    rows, totals = [], []  # rows: per word, its (listed, packed) outputs as (c, producers)
+    for j, x in enumerate(words):
+        counts = Counter(getter(x) for getter in getters)
+        if model is ChannelModel.TRADITIONAL:
+            counts = dict.fromkeys(counts, 1)
+        totals.append(sum(counts.values()) + whole)
+        row = ([], [])
+        for y, c in counts.items():
+            producers = index.setdefault(y, [])
+            producers.append((j, c))
+            row[len(y) in packed_lengths].append((c, producers))
+        rows.append(row)
+
+    buffer, spare = bytearray(size * step), bytearray(size * step)
+    lanes, spare_lanes = memoryview(buffer).cast(fmt), memoryview(spare).cast(fmt)
+
+    def drain(buf: bytearray, nbytes: int) -> int:  # and zero what it read
+        value = int.from_bytes(buf[:nbytes], "little")
+        buf[:nbytes] = bytes(nbytes)
+        return value
+
+    def pack(items) -> int:
+        for j, c in items:
+            lanes[j] = c
+        return drain(buffer, size * step)
+
+    ones = pack((j, 1) for j in range(size))
+    guard = ones << (w - 1)
+    total_lanes = pack(enumerate(totals))
+    for y, producers in index.items():
+        if len(y) in packed_lengths:  # the rows share this list: it becomes (counts, presence)
+            mult = pack(producers)
+            presence = _at_least(mult, ones, guard) >> (w - 1)
+            producers[:] = mult, (mult if presence == mult else presence)
+
+    levels = {}  # v -> v in every lane
+    level = lambda v: levels.get(v) or levels.setdefault(v, v * ones)
+
+    best, best_pairs, never = initial_best, [], []
+    for i in range(size - 1, 0, -1):
+        listed, packed = rows[i]
+        mine = theirs = 0
+        if packed:
+            low = (1 << i * w) - 1  # lanes j < i
+            if nonmultiset:
+                by_take = {}  # c -> presence of the packed outputs word i produces c times
+                for c, (mult, presence) in packed:
+                    by_take[c] = by_take.get(c, 0) + (presence & low)
+                    theirs += mult & low
+                mine = sum(c * lanes_c for c, lanes_c in by_take.items())
+            else:
+                guard_i, takes = guard & low, {}  # takes: c -> c in every lane j < i
+                for c, (mult, presence) in packed:
+                    if c == 1:
+                        mine += presence & low
+                    else:
+                        take = takes.get(c) or takes.setdefault(c, level(c) & low)
+                        mine += _lane_min(mult & low, take, guard_i, w)
+        if listed:
+            for c, producers in listed:
+                producers.pop()  # word i: the later words popped theirs
+                if nonmultiset:
+                    for j, cj in producers:
+                        lanes[j] += c
+                        spare_lanes[j] += cj
                 else:
                     for j, cj in producers:
-                        mine[j] = get(j, 0) + (c if c < cj else cj)
-        if not mine:
+                        lanes[j] += c if c < cj else cj
+            mine += drain(buffer, i * step)
+            if nonmultiset:
+                theirs += drain(spare, i * step)
+        # The lanes j >= i hold 0, below every level tested.  A lane that
+        # reaches `best` or covers word i whole has mine and theirs >= floor
+        # (in the non-multiset model every word's total is the pattern count).
+        if not nonmultiset:
+            theirs = mine
+        floor = level(min(max(best, 1), totals[i]))
+        if not _at_least(mine, floor, guard) & _at_least(theirs, floor, guard):
             continue
-        ti = totals[i]
-        top = max(mine.values())
-        if top < best and top < ti:
-            continue  # no pair of word i reaches `best` or covers it whole
-        for j in sorted(mine):
-            si = mine[j]
-            sj = theirs[j]
-            if si == ti and sj == totals[j]:
-                never.append((i, j))
-                continue
-            val = si if si < sj else sj
-            if val > best:
-                best = val
-                best_pairs = [(i, j)]
-            elif val == best:
-                best_pairs.append((i, j))
+        value = _lane_min(mine, theirs, guard, w) if nonmultiset else mine
+        covered = _at_least(mine, level(totals[i]), guard) & _at_least(theirs, total_lanes, guard)
+        reach = _at_least(value, level(max(best, 1)), guard) | covered
+        nbytes = i * step
+        flags = reach.to_bytes(nbytes, "little")[step - 1 :: step]
+        is_covered = covered and covered.to_bytes(nbytes, "little")[step - 1 :: step]
+        values = memoryview(value.to_bytes(nbytes, "little")).cast(fmt)
+        j = flags.find(128)
+        while j >= 0:
+            if is_covered and is_covered[j]:
+                never.append((j, i))
+            elif values[j] > best:
+                best, best_pairs = values[j], [(j, i)]
+            elif values[j] == best:
+                best_pairs.append((j, i))
+            j = flags.find(128, j + 1)
+    best_pairs.sort()
+    never.sort()
     if not best:
         # Every pair that shares an output is indistinguishable; the rest count 0.
         shared = set(never)
-        best_pairs = [ij for ij in itertools.combinations(range(len(words)), 2) if ij not in shared]
+        best_pairs = [ij for ij in itertools.combinations(range(size), 2) if ij not in shared]
     return best, best_pairs, never
 
 
@@ -250,12 +307,18 @@ def extremal_search(
     all (as for n = 0, or t = n in the exactly mode) the count is 0 and
     `pairs` is empty.  `canonical` lists each pair once up to a relabelling
     of symbols, relabelled by first occurrence.  `searched_pairs` is
-    C(q^n, 2), though only the pairs sharing an output are visited (see the
-    module docstring for the cost).  Refuses when q^n times the pattern
-    count times the supersequences of one output exceeds `budget`.  `jobs`
-    is accepted and has no effect: the scan runs in one process.
+    C(q^n, 2), though only the lanes that reach the best count so far are
+    unpacked.  Refuses when q^n times the pattern count times the
+    supersequences of one output exceeds `budget`.  `jobs` is accepted and
+    has no effect: the scan runs in one process.
+
+    The scan's packed outputs take about (outputs with many producers) *
+    q^n * w/8 bytes for w-bit lanes (see the module docstring).  For q > 2 the
+    binary maximum seeds the best count: lanes below it are not unpacked.
     """
     mode = check_mode(mode)
+    if n < 0:
+        raise ValueError("n and t must be non-negative")
     if not 0 <= t <= n:
         raise ValueError(f"t={t} infeasible for n={n}")
     # A length n-t word has sum_{i<=t} C(n, i)(q-1)^i supersequences of
@@ -265,16 +328,13 @@ def extremal_search(
     if cost > budget:
         raise ValueError(f"search cost {cost} exceeds budget {budget}")
 
-    # For q > 2 the binary sub-search only seeds `best`; the scan prunes
-    # nothing with it.  It stays while the benchmark's traced run times it
-    # as `oracle.presearch_ms`, and can go with a change to that metric in
-    # `seqbench/`.
+    # The benchmark's traced run times this sub-search as `oracle.presearch_ms`.
     initial_best = 0
     if q > 2 and model is not ChannelModel.TRADITIONAL:
         initial_best = extremal_search(n, 2, t, mode, model, budget=budget).n_max_confusable
 
     words = list(map("".join, itertools.product(alphabet(q), repeat=n)))
-    best, pair_ids, never_ids = _scan_pairs(words, n, t, mode, model, initial_best)
+    best, pair_ids, never_ids = _scan_pairs(words, q, n, t, mode, model, initial_best)
     to_word = lambda i: Word.from_raw(words[i], q)
     if canonical:
         keys = dict.fromkeys(_canonical_pair(words[i], words[j]) for i, j in pair_ids)

@@ -156,6 +156,10 @@ EXTREMAL_DIGESTS = {
     (4, 4, 1): "e72ed1bcc3d11a90beb7368e9388f154f3552bbf76e25c8e0a405dd40d670f00",
     (4, 4, 3): "7cd5e885204cc98f99d1913cc568590608d1584be4b702a1d38504d3cc8f5a3d",
     (4, 4, 4): "208cbfbd20f91a0716b56e01e24a9894646947cedafb7e2a2de52821ca7c075f",
+    # The two heaviest points of the benchmark's extremal sweep; (2, 9, 3)
+    # at most has a total of 130, past the 8-bit lanes of the pair scan.
+    (2, 9, 3): "d6031ea005b5972420182fdd2ff56683c8f400ef8284af7adc549c957a510c34",
+    (3, 6, 2): "32ef4c1ef425fb911eeebdcc2be8b69caf7209314fb48c4bb8977f146e230e8e",
 }
 
 
@@ -172,6 +176,12 @@ def test_extremal_stdout_is_pinned(capsys, q, n, t):
                 assert code == 0
                 digest.update(out.encode())
     assert digest.hexdigest() == EXTREMAL_DIGESTS[q, n, t]
+
+
+def test_extremal_negative_length_is_an_error_record(capsys):
+    code, out = run_cli(capsys, "extremal", "--n", "-1", "--q", "2", "--t", "0", "--model", "multiset")
+    assert code == 1
+    assert json.loads(out) == {"error": "n and t must be non-negative", "hypothesis_ok": False}
 
 
 def test_extremal_budget_default_is_the_search_default():

@@ -281,6 +281,12 @@ def test_no_distinguishable_pair_counts_zero(n, q, t, model):
     assert len(result.indistinguishable) == result.searched_pairs == math.comb(q**n, 2)
 
 
+@pytest.mark.parametrize("n, t", [(-1, 0), (-1, 2), (-3, -1)])
+def test_extremal_search_refuses_negative_length(n, t):
+    with pytest.raises(ValueError, match="^n and t must be non-negative$"):
+        extremal_search(n, 2, t, "exactly", M)
+
+
 def test_budget_guard():
     with pytest.raises(ValueError):
         extremal_search(10, 2, 2, "at_most", M, budget=1000)
@@ -386,9 +392,14 @@ def all_pairs_reference(n, q, t, mode, model):
     return best, pairs, never, math.comb(len(words), 2)
 
 
-EQUIVALENCE_CASES = [(2, n, t) for n in range(2, 7) for t in range(n + 1)] + [
-    (3, 4, t) for t in range(3)
-]
+# (2, 7, 6) and (2, 7, 7) have at-most totals of 127 and 128, the largest
+# that fits 8-bit lanes and the smallest that needs 16-bit ones.
+EQUIVALENCE_CASES = (
+    [(2, n, t) for n in range(2, 7) for t in range(n + 1)]
+    + [(3, 4, t) for t in range(3)]
+    + [(2, 7, 6), (2, 7, 7), (3, 5, 2)]
+    + [(4, 3, t) for t in range(1, 4)]
+)
 
 
 @pytest.mark.parametrize("q,n,t", EQUIVALENCE_CASES)
