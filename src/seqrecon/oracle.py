@@ -17,19 +17,25 @@ the smaller of the two totals:
                  smaller total into Y, so the whole shared set realises the
                  maximum: since c, c' >= 1, its smaller total covers |Y|.
 
-The extremal search decides all C(q^n, 2) word pairs a word at a time, in
-packed ints: word j owns lane j, w bits wide, the narrowest of 8, 16, 32 and
-64 with 2^(w-1) above the pattern count, so each lane's top bit is a free
-guard bit.  An output with many producers is stored once as two packed ints,
-its producers' counts c_j(y) and their presence, and added with one int
-addition (the multiset min(c, c_j) by guard-bit subtraction); one with few
-producers adds them one by one to a lane buffer.  Pair rules run on all lanes
-at once, and only lanes that reach the best count so far are unpacked.
-Packed outputs take about (packed outputs) * q^n * w/8 bytes.
+The extremal search decides all C(q^n, 2) word pairs an orbit at a time:
+reversing or relabelling both words keeps a pair's count, so only the least
+word of each orbit under reversal x relabelling (reversal x complement at
+q = 2, reversal x S_q above) enumerates its outputs and sums its pairs with
+the words of its own and earlier orbits; each pair found stands for all its
+images.  The sums run in packed ints: each word owns a lane, w bits wide,
+the narrowest of 8, 16, 32 and 64 with 2^(w-1) above the pattern count, so
+each lane's top bit is a free guard bit.  An output with many producers is
+stored once as two packed ints, its producers' counts c_j(y) and their
+presence, and added with one int addition (the multiset min(c, c_j) by
+guard-bit subtraction); one with few producers adds them one by one to a
+lane buffer.  Pair rules run on all lanes at once, and only lanes that reach
+the best count so far are unpacked.  Packed outputs take about (packed
+outputs) * q^n * w/8 bytes.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import Counter
 from dataclasses import dataclass, field
@@ -150,14 +156,63 @@ def _lane_min(a: int, b: int, guard: int, w: int) -> int:
     return a - (d & (g - (g >> (w - 1))))
 
 
-def _scan_pairs(words: list[str], q: int, n: int, t: int, mode: str, model: ChannelModel, initial_best: int):
-    """Best count, attaining pairs and indistinguishable pairs, as word indices.
+class _Relabelled(dict):
+    """A representative's output keys -> the producer lists of those outputs
+    relabelled alphabet(k) -> `symbols`, then reversed if `reverse`."""
 
-    From the last word down, word i sums in each lane j < i how much of its
-    own and of word j's total their shared outputs cover (the cover rule of
-    the module docstring), then unpacks the lanes that reach `best` or cover
-    both totals.  A pair sharing no output counts 0, and is listed only when
-    no other pair counts more.
+    def __init__(self, index: dict, symbols: str, reverse: bool):
+        self.index, self.table, self.reverse = index, str.maketrans(alphabet(len(symbols)), symbols), reverse
+
+    def __missing__(self, y):
+        kept = "".join(y).translate(self.table)
+        image = kept if isinstance(y, str) else tuple(kept[::-1] if self.reverse else kept)
+        producers = self[y] = self.index.setdefault(image, [])
+        return producers
+
+
+def _index_outputs(words: list[str], relabellings, getters, model: ChannelModel, packed_lengths, whole):
+    """Each output's producers (lane, c), each lane's total and word, and per
+    orbit (first lane, end lane, the (listed, packed) outputs of its first
+    word as (c, producers)).  The first word met of an orbit is its least,
+    with k symbols alphabet(k) in order; its images take the lanes after it."""
+    index: dict[tuple | str, list] = {}
+    rows, totals, lane_words = [], [], []
+    elements, placed = {}, set()  # elements: (symbols, reverse) -> _Relabelled
+    for x in words:
+        if x in placed:
+            continue
+        counts = Counter(getter(x) for getter in getters)
+        if model is ChannelModel.TRADITIONAL:
+            counts = dict.fromkeys(counts, 1)
+        orbit = {}  # image -> (symbols, reverse), x first
+        for symbols, table in relabellings(len(set(x))):
+            v = x.translate(table)
+            orbit.setdefault(v, (symbols, False))
+            orbit.setdefault(v[::-1], (symbols, True))
+        first = len(lane_words)
+        for lane, element in enumerate(orbit.values(), first):
+            image = elements.get(element) or elements.setdefault(element, _Relabelled(index, *element))
+            for y, c in counts.items():
+                image[y].append((lane, c))
+        lane_words += orbit
+        placed.update(orbit)
+        totals += [sum(counts.values()) + whole] * len(orbit)
+        row = ([], [])
+        for y, c in counts.items():
+            row[len(y) in packed_lengths].append((c, index[y]))
+        rows.append((first, len(lane_words), row))
+    return index, rows, totals, lane_words
+
+
+def _scan_pairs(words: list[str], q: int, n: int, t: int, mode: str, model: ChannelModel, initial_best: int):
+    """Best count, attaining pairs and indistinguishable pairs, as raw pairs.
+
+    From the last orbit down, its least word i sums in each lane j != i below
+    its orbit's end how much of its own and of word j's total their shared
+    outputs cover (the cover rule of the module docstring), then unpacks the
+    lanes that reach `best` or cover both totals.  Every image of each pair
+    found is listed.  A pair sharing no output counts 0, and is listed only
+    when no other pair counts more.
     """
     getters = _keep_getters(n, t, mode)
     nonmultiset = model is ChannelModel.NON_MULTISET
@@ -172,20 +227,10 @@ def _scan_pairs(words: list[str], q: int, n: int, t: int, mode: str, model: Chan
     # size * step bytes a few times (four times as many for the multiset min).
     work = size * step * (4 if model is ChannelModel.MULTISET else 1)
     packed_lengths = {n - s for s in range(t + 1) if 200 * hamming_ball_volume(q, n, s) >= work}
-
-    index: dict[tuple | str, list] = {}
-    rows, totals = [], []  # rows: per word, its (listed, packed) outputs as (c, producers)
-    for j, x in enumerate(words):
-        counts = Counter(getter(x) for getter in getters)
-        if model is ChannelModel.TRADITIONAL:
-            counts = dict.fromkeys(counts, 1)
-        totals.append(sum(counts.values()) + whole)
-        row = ([], [])
-        for y, c in counts.items():
-            producers = index.setdefault(y, [])
-            producers.append((j, c))
-            row[len(y) in packed_lengths].append((c, producers))
-        rows.append(row)
+    relabellings = functools.cache(  # k -> (symbols, table) per relabelling of alphabet(k)
+        lambda k: [(s, str.maketrans(alphabet(k), s)) for s in map("".join, itertools.permutations(alphabet(q), k))]
+    )
+    index, rows, totals, lane_words = _index_outputs(words, relabellings, getters, model, packed_lengths, whole)
 
     buffer, spare = bytearray(size * step), bytearray(size * step)
     lanes, spare_lanes = memoryview(buffer).cast(fmt), memoryview(spare).cast(fmt)
@@ -208,33 +253,33 @@ def _scan_pairs(words: list[str], q: int, n: int, t: int, mode: str, model: Chan
             mult = pack(producers)
             presence = _at_least(mult, ones, guard) >> (w - 1)
             producers[:] = mult, (mult if presence == mult else presence)
+    del index
 
     levels = {}  # v -> v in every lane
     level = lambda v: levels.get(v) or levels.setdefault(v, v * ones)
 
     best, best_pairs, never = initial_best, [], []
-    for i in range(size - 1, 0, -1):
-        listed, packed = rows[i]
+    for i, end, (listed, packed) in reversed(rows):
+        low = (1 << end * w) - 1  # lanes j < end
         mine = theirs = 0
-        if packed:
-            low = (1 << i * w) - 1  # lanes j < i
-            if nonmultiset:
-                by_take = {}  # c -> presence of the packed outputs word i produces c times
-                for c, (mult, presence) in packed:
-                    by_take[c] = by_take.get(c, 0) + (presence & low)
-                    theirs += mult & low
-                mine = sum(c * lanes_c for c, lanes_c in by_take.items())
-            else:
-                guard_i, takes = guard & low, {}  # takes: c -> c in every lane j < i
-                for c, (mult, presence) in packed:
-                    if c == 1:
-                        mine += presence & low
-                    else:
-                        take = takes.get(c) or takes.setdefault(c, level(c) & low)
-                        mine += _lane_min(mult & low, take, guard_i, w)
+        if nonmultiset:
+            by_take = {}  # c -> presence of the packed outputs word i produces c times
+            for c, (mult, presence) in packed:
+                by_take[c] = by_take.get(c, 0) + (presence & low)
+                theirs += mult & low
+            mine = sum(c * lanes_c for c, lanes_c in by_take.items())
+        else:
+            guard_i, takes = guard & low, {}  # takes: c -> c in every lane j < end
+            for c, (mult, presence) in packed:
+                if c == 1:
+                    mine += presence & low
+                else:
+                    take = takes.get(c) or takes.setdefault(c, level(c) & low)
+                    mine += _lane_min(mult & low, take, guard_i, w)
         if listed:
             for c, producers in listed:
-                producers.pop()  # word i: the later words popped theirs
+                while producers[-1][0] >= end:  # lanes of later orbits, all visited: lists run in lane order
+                    producers.pop()
                 if nonmultiset:
                     for j, cj in producers:
                         lanes[j] += c
@@ -242,40 +287,56 @@ def _scan_pairs(words: list[str], q: int, n: int, t: int, mode: str, model: Chan
                 else:
                     for j, cj in producers:
                         lanes[j] += c if c < cj else cj
-            mine += drain(buffer, i * step)
+            mine += drain(buffer, end * step)
             if nonmultiset:
-                theirs += drain(spare, i * step)
-        # The lanes j >= i hold 0, below every level tested.  A lane that
-        # reaches `best` or covers word i whole has mine and theirs >= floor
-        # (in the non-multiset model every word's total is the pattern count).
-        if not nonmultiset:
-            theirs = mine
+                theirs += drain(spare, end * step)
+        # Lane i, word i against itself, is cleared, and the lanes j >= end
+        # hold 0: 0 is below every level tested.  A lane that reaches `best`
+        # or covers word i whole has mine and theirs >= floor (in the
+        # non-multiset model every word's total is the pattern count).
+        keep = low ^ (((1 << w) - 1) << i * w)
+        mine &= keep
+        theirs = theirs & keep if nonmultiset else mine
         floor = level(min(max(best, 1), totals[i]))
         if not _at_least(mine, floor, guard) & _at_least(theirs, floor, guard):
             continue
         value = _lane_min(mine, theirs, guard, w) if nonmultiset else mine
         covered = _at_least(mine, level(totals[i]), guard) & _at_least(theirs, total_lanes, guard)
         reach = _at_least(value, level(max(best, 1)), guard) | covered
-        nbytes = i * step
+        nbytes = end * step
         flags = reach.to_bytes(nbytes, "little")[step - 1 :: step]
         is_covered = covered and covered.to_bytes(nbytes, "little")[step - 1 :: step]
         values = memoryview(value.to_bytes(nbytes, "little")).cast(fmt)
         j = flags.find(128)
         while j >= 0:
             if is_covered and is_covered[j]:
-                never.append((j, i))
+                never.append((lane_words[i], lane_words[j]))
             elif values[j] > best:
-                best, best_pairs = values[j], [(j, i)]
+                best, best_pairs = values[j], [(lane_words[i], lane_words[j])]
             elif values[j] == best:
-                best_pairs.append((j, i))
+                best_pairs.append((lane_words[i], lane_words[j]))
             j = flags.find(128, j + 1)
-    best_pairs.sort()
-    never.sort()
+    same = dict(zip(words, words))  # one str object per word
+
+    def images(found):  # every image of the pairs found, each as (lesser, greater), in order
+        pairs = set()
+        for a, b in found:
+            if ((a, b) if a < b else (b, a)) in pairs:
+                continue  # an image of an earlier pair
+            a, b = _canonical_pair(a, b)  # its k symbols become alphabet(k)
+            for _, table in relabellings(len(set(a + b))):
+                x, y = same[a.translate(table)], same[b.translate(table)]
+                pairs.add((x, y) if x < y else (y, x))
+                x, y = same[x[::-1]], same[y[::-1]]
+                pairs.add((x, y) if x < y else (y, x))
+        return sorted(pairs)
+
+    never = images(never)
     if not best:
         # Every pair that shares an output is indistinguishable; the rest count 0.
         shared = set(never)
-        best_pairs = [ij for ij in itertools.combinations(range(size), 2) if ij not in shared]
-    return best, best_pairs, never
+        return 0, [xy for xy in itertools.combinations(words, 2) if xy not in shared], never
+    return best, images(best_pairs), never
 
 
 def _canonical_pair(xi: str, xj: str) -> tuple[str, str]:
@@ -300,17 +361,18 @@ def extremal_search(
     """Exhaustive search for the word pairs hardest to distinguish.
 
     Deletion errors only.  Words are built and scanned in raw form (see
-    words.py) and wrapped as Words only for the result.  Pairs that can
-    never be distinguished (identical full output collections, possible
-    when n < 2t+2) are excluded from the maximum and reported separately.
-    A pair sharing no output counts 0; when no pair is distinguishable at
-    all (as for n = 0, or t = n in the exactly mode) the count is 0 and
-    `pairs` is empty.  `canonical` lists each pair once up to a relabelling
-    of symbols, relabelled by first occurrence.  `searched_pairs` is
-    C(q^n, 2), though only the lanes that reach the best count so far are
-    unpacked.  Refuses when q^n times the pattern count times the
-    supersequences of one output exceeds `budget`.  `jobs` is accepted and
-    has no effect: the scan runs in one process.
+    words.py), one word per orbit of reversal x relabelling (see the module
+    docstring), and each result word is wrapped as one shared Word.  Pairs
+    that can never be distinguished (identical full output collections,
+    possible when n < 2t+2) are excluded from the maximum and reported
+    separately.  A pair sharing no output counts 0; when no pair is
+    distinguishable at all (as for n = 0, or t = n in the exactly mode) the
+    count is 0 and `pairs` is empty.  `canonical` lists each pair once up to
+    a relabelling of symbols, relabelled by first occurrence.
+    `searched_pairs` is C(q^n, 2), though only the lanes that reach the best
+    count so far are unpacked.  Refuses when q^n times the pattern count
+    times the supersequences of one output exceeds `budget`.  `jobs` is
+    accepted and has no effect: the scan runs in one process.
 
     The scan's packed outputs take about (outputs with many producers) *
     q^n * w/8 bytes for w-bit lanes (see the module docstring).  For q > 2 the
@@ -334,13 +396,10 @@ def extremal_search(
         initial_best = extremal_search(n, 2, t, mode, model, budget=budget).n_max_confusable
 
     words = list(map("".join, itertools.product(alphabet(q), repeat=n)))
-    best, pair_ids, never_ids = _scan_pairs(words, q, n, t, mode, model, initial_best)
-    to_word = lambda i: Word.from_raw(words[i], q)
+    best, pairs, never = _scan_pairs(words, q, n, t, mode, model, initial_best)
     if canonical:
-        keys = dict.fromkeys(_canonical_pair(words[i], words[j]) for i, j in pair_ids)
-        pairs = [(Word.from_raw(a, q), Word.from_raw(b, q)) for a, b in keys]
-    else:
-        pairs = [(to_word(i), to_word(j)) for i, j in pair_ids]
-    never = [(to_word(i), to_word(j)) for i, j in never_ids]
+        pairs = dict.fromkeys(_canonical_pair(a, b) for a, b in pairs)
+    to_word = functools.cache(lambda raw: Word._of_raw(raw, q))  # raw forms built from alphabet(q)
+    pairs, never = ([(to_word(a), to_word(b)) for a, b in found] for found in (pairs, never))
     searched = len(words) * (len(words) - 1) // 2
     return ExtremalResult(best, pairs, never, searched)

@@ -13,6 +13,7 @@ from seqrecon.bounds import (
     pattern_bound,
 )
 from seqrecon.channels import ChannelModel, OutputCollection
+from seqrecon import oracle
 from seqrecon.oracle import confusable_max, extremal_search
 from seqrecon.patterns import (
     DeletionVector,
@@ -329,6 +330,65 @@ def test_larger_alphabet_extremal_matches_binary_maximum():
         assert binary_pairs <= {(a.text, b.text) for a, b in qary.pairs}
 
 
+def test_large_alphabet_counts_are_pinned_and_fast():
+    # Recorded with the scan that visited every word.  The relabelling group
+    # has 2 * q! elements, 10,080 at q = 7, against 2,401 words at n = 4: a
+    # table of every element's image of every word would take seconds.  The
+    # four searches took 0.11-0.18 s together on a 2-vCPU VM before the
+    # orbit scan; the bound is twice the slower figure.
+    pins = [((4, 7), M, 3, 42), ((4, 7), TR, 2, 3402), ((3, 8), M, 2, 532), ((3, 8), TR, 2, 476)]
+    elapsed = 0.0
+    for (n, q), model, best, count in pins:
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            res = extremal_search(n, q, 1, "exactly", model)
+            times.append(time.perf_counter() - start)
+        elapsed += min(times)
+        assert (res.n_max_confusable, len(res.pairs)) == (best, count), (n, q, model)
+    assert elapsed < 0.35
+
+
+def test_outputs_are_enumerated_once_per_orbit(monkeypatch):
+    # Reversal x complement orbits of the binary words of length 8, by brute force.
+    n = 8
+    words = ["".join(w) for w in itertools.product("01", repeat=n)]
+    flip = str.maketrans("01", "10")
+    orbits = {min(w, w[::-1], w.translate(flip), w[::-1].translate(flip)) for w in words}
+    assert len(orbits) == 72
+    calls = Counter()
+    keep_getters = oracle._keep_getters
+
+    def counted(*args):
+        def count(getter, k):
+            def call(x):
+                calls[k] += 1
+                return getter(x)
+            return call
+        return [count(getter, k) for k, getter in enumerate(keep_getters(*args))]
+
+    monkeypatch.setattr(oracle, "_keep_getters", counted)
+    res = extremal_search(n, 2, 2, "exactly", M)
+    assert res.n_max_confusable == max(adjacent_singleton_channels(n, 2, a) for a in range(1, n)) - 1
+    assert len(calls) == math.comb(n, 2)
+    assert set(calls.values()) == {len(orbits)}
+
+
+@pytest.mark.parametrize("canonical", [False, True])
+def test_result_words_are_wrapped_once(canonical):
+    res = extremal_search(3, 5, 2, "exactly", M, canonical=canonical)
+    assert res.pairs and res.indistinguishable
+    shared = {}
+    for pair in res.pairs + res.indistinguishable:
+        for word in pair:
+            assert shared.setdefault(word.raw, word) is word
+    assert type(res.pairs[0][0]) is Word
+    uses = Counter(word.raw for pair in res.pairs for word in pair)
+    assert max(uses.values()) > 1
+    if not canonical:
+        assert {w.raw for pair in res.pairs for w in pair} & {w.raw for pair in res.indistinguishable for w in pair}
+
+
 def test_parallel_scan_agrees_with_serial():
     serial = extremal_search(5, 2, 1, "exactly", M)
     parallel = extremal_search(5, 2, 1, "exactly", M, jobs=2)
@@ -399,6 +459,10 @@ EQUIVALENCE_CASES = (
     + [(3, 4, t) for t in range(3)]
     + [(2, 7, 6), (2, 7, 7), (3, 5, 2)]
     + [(4, 3, t) for t in range(1, 4)]
+    # Palindromes and self-complementary words have orbits smaller than the
+    # group; at q = 4, n = 4 and q = 5, n = 3 the group outnumbers the words.
+    # At q = 11 the raw symbols run past "9".
+    + [(4, 4, 1), (4, 4, 2), (5, 3, 1), (5, 3, 2), (11, 2, 1)]
 )
 
 
@@ -441,3 +505,15 @@ def test_optimal_counts_at_n13_three_deletions():
     res = extremal_search(n, 2, t, "exactly", M, budget=2**31)
     best_adjacent = max(adjacent_singleton_channels(n, t, a) for a in range(1, n))
     assert res.n_max_confusable == best_adjacent - 1 == 211
+
+
+def test_optimal_counts_at_n14_three_deletions():
+    # The paper's t = 3 counts at n = 14, exactly three deletions: 344
+    # non-multiset channels and 274 multiset ones still leave a pair
+    # confusable.
+    n, t = 14, 3
+    res = extremal_search(n, 2, t, "exactly", NM, budget=2**32)
+    assert res.n_max_confusable + 1 == pattern_bound(n, t, "exactly") == 345
+    res = extremal_search(n, 2, t, "exactly", M, budget=2**32)
+    best_adjacent = max(adjacent_singleton_channels(n, t, a) for a in range(1, n))
+    assert res.n_max_confusable == best_adjacent - 1 == 274
