@@ -106,11 +106,9 @@ def weight_gap_confusable(n: int, w1: int, b: int, t: int) -> int:
         raise ValueError(f"requires b <= w1 <= n and t <= n, got w1={w1}, n={n}, t={t}")
     # The sum over b <= i <= t of min(C(w1, i) C(n-w1, t-i),
     # C(w1-b, i-b) C(n-w1+b, t+b-i)); both products are nonzero exactly for
-    # lo <= i <= hi.
+    # lo <= i <= hi, and the checks above give lo <= hi.
     z = n - w1
     lo, hi = max(b, t - z), min(t, w1)
-    if lo > hi:
-        return 0
     steps = range(lo, hi)
     first = _ratio_terms(
         math.comb(w1, lo) * math.comb(z, t - lo),

@@ -198,9 +198,7 @@ class Frontier:
     group.  `_pair_gate[a]` is the largest M_a stored in its pair slots and
     `_tri_gate[a]` the largest in its own triple slots, or -1 when it has
     none (q = 4): an output with more a's than a gate displaces none of
-    those slots, ties included, so update() skips them.  `_gate[a]`, the
-    larger of the two, is tested first, so a symbol that passes neither
-    costs one test.
+    those slots, ties included, so update() skips them.
 
     `pending` holds the indices into the table's anchors of the anchor
     triples whose check may have changed since the last scan:
@@ -211,8 +209,11 @@ class Frontier:
     or raises the second score marks every triple using the slot.  A tie,
     which keeps both scores, marks only the triples using the slot as y1
     (`y1_anchors`, pair slots only), and only when the stored counts
-    change; a triple slot's tie marks nothing.  The first output enters
-    every slot and marks every anchor triple once.
+    change; a triple slot's tie marks nothing.  The first output takes the
+    same update() path as every other: it beats every slot's initial bounds
+    (M_a infinite, second score -1) and passes every gate with slots behind
+    it, so it enters every slot, lowers those gates to its counts and marks
+    every anchor triple once.
     """
 
     __slots__ = (
@@ -222,7 +223,6 @@ class Frontier:
         "_counts",
         "_ma",
         "_mb",
-        "_gate",
         "_pair_gate",
         "_tri_gate",
         "pending",
@@ -239,7 +239,6 @@ class Frontier:
         self._counts = [None] * size
         self._ma = [math.inf] * size
         self._mb = [-1] * size
-        self._gate = [math.inf] * q
         self._pair_gate = [math.inf] * q
         self._tri_gate = [math.inf if table.tri_groups[0] else -1] * q
         self.pending: set[int] = set()
@@ -249,14 +248,9 @@ class Frontier:
         every slot, and mark as pending the anchor triples whose check may
         have changed (see the class docstring)."""
         table = self._table
-        if self._counts[0] is None:
-            self._enter_first(token, counts, length)
-            return
-        gate, pair_gate, tri_gate, pending = self._gate, self._pair_gate, self._tri_gate, self.pending
+        pair_gate, tri_gate, pending = self._pair_gate, self._tri_gate, self.pending
         words, stored, ma, mb, slot_anchors = self._word, self._counts, self._ma, self._mb, table.slot_anchors
         for a, ca in enumerate(counts):
-            if ca > gate[a]:
-                continue
             if ca <= pair_gate[a]:
                 lowered = False
                 for k, b in table.pair_groups[a]:
@@ -273,7 +267,6 @@ class Frontier:
                         mb[k] = cb
                 if lowered:
                     pair_gate[a] = max([ma[k] for k, _ in table.pair_groups[a]])
-                    gate[a] = max(pair_gate[a], tri_gate[a])
             if ca <= tri_gate[a]:
                 lowered = False
                 rest = length - ca
@@ -289,28 +282,6 @@ class Frontier:
                         mb[k] = out
                 if lowered:
                     tri_gate[a] = max([ma[k] for k, _, _ in table.tri_groups[a]])
-                    gate[a] = max(pair_gate[a], tri_gate[a])
-
-    def _enter_first(self, token, counts: tuple[int, ...], length: int) -> None:
-        """Store the first output in every slot, since it beats every initial
-        bound, and mark every anchor triple once."""
-        table = self._table
-        ma, mb = self._ma, self._mb
-        for a, ca in enumerate(counts):
-            for k, b in table.pair_groups[a]:
-                ma[k] = ca
-                mb[k] = counts[b]
-            for k, b, c in table.tri_groups[a]:
-                ma[k] = ca
-                mb[k] = length - ca - counts[b] - counts[c]
-        self._word[:] = [token] * len(ma)
-        self._counts[:] = [counts] * len(ma)
-        # Every slot of a's group stores M_a = counts[a]; with no triple
-        # slots of its own (q = 4) the triple gate stays -1.
-        self._gate[:] = self._pair_gate[:] = counts
-        if table.tri_groups[0]:
-            self._tri_gate[:] = counts
-        self.pending.update(range(len(table.anchors)))
 
     def get_pair(self, a: int, b: int):
         """(stored token, M_a, M_b) for slot (a, b)."""

@@ -33,6 +33,8 @@ def test_levenshtein_insertion_bound_values():
     assert bounds.levenshtein_insertion_bound(4, 4, 2) == 37
     with pytest.raises(ValueError):
         bounds.levenshtein_insertion_bound(3, 2, 0)
+    with pytest.raises(ValueError, match="^requires q >= 2 and n >= 1$"):
+        bounds.levenshtein_insertion_bound(3, 1, 1)
 
 
 def test_pattern_bound_values():
@@ -249,6 +251,8 @@ def test_binom_ratio_values():
         bounds.binom_ratio(21, 2)
     with pytest.raises(ValueError):
         bounds.binom_ratio(20, 3)
+    with pytest.raises(ValueError, match=r"^requires t >= 2 and n >= 2t\+2, got t=0, n=10$"):
+        bounds.binom_ratio(10, 0)
 
 
 def test_binom_ratio_decreases_towards_limit():
@@ -265,6 +269,8 @@ def test_harmonic_number():
     assert bounds.harmonic_number(0) == 0.0
     assert bounds.harmonic_number(1) == 1.0
     assert abs(bounds.harmonic_number(4) - 25 / 12) < 1e-12
+    with pytest.raises(ValueError, match="^requires m >= 0, got -1$"):
+        bounds.harmonic_number(-1)
     # asymptotic branch stays continuous with the exact one
     exact = bounds.harmonic_number(1_000_000)
     assert abs(exact - (math.log(1_000_001) + bounds.EULER_GAMMA)) < 1e-6
@@ -328,6 +334,8 @@ def test_expectations_beyond_the_float_range():
 
 def test_expected_unique_patterns():
     assert bounds.expected_unique_patterns(17, 0) == 0.0
+    assert bounds.expected_unique_patterns(1, 0) == 0.0
+    assert bounds.expected_unique_patterns(1, 5) == 1.0
     assert abs(bounds.expected_unique_patterns(17, 1) - 1.0) < 1e-12
     value = bounds.expected_unique_patterns(166751, 100)
     assert 99.9 <= value <= 100.0

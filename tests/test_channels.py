@@ -98,10 +98,12 @@ def test_pattern_space_size_counts_enumerated_patterns(mode, error_type):
         ((4, 1, 2, "exactly", "insertion"), "alphabet size must be >= 2, got 1"),
         ((4, 1, 2, "at_most", "insertion"), "alphabet size must be >= 2, got 1"),
         ((4, 0, 0, "exactly", "insertion"), "alphabet size must be >= 2, got 0"),
+        ((3, 2, 1, "sometimes", "deletion"), "mode must be 'exactly' or 'at_most', got 'sometimes'"),
     ],
     ids=[
         "deletion-t-above-n", "insertion-t-negative", "unknown-type", "exactly-n-negative",
         "at-most-n-negative", "exactly-n-negative-t-0", "exactly-q-1", "at-most-q-1", "exactly-q-0-t-0",
+        "unknown-mode",
     ],
 )
 def test_pattern_space_size_refusals(args, message):
@@ -163,6 +165,8 @@ def test_transmit_random_strict_patterns_unique():
     assert counts_by_text(col) == {"000": 1, "0000": 4, "1000": 1, "0100": 1, "0010": 1, "0001": 1}
     with pytest.raises(ValueError):
         transmit_random(x, 10, (0, 0, 1), ChannelModel.MULTISET, rng_seed=3, strict=True)
+    with pytest.raises(ValueError, match="^need at least one channel$"):
+        transmit_random(x, 0, (0, 0, 1), ChannelModel.MULTISET, rng_seed=3)
 
 
 def test_transmit_random_tracks_distinct_patterns():

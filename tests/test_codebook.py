@@ -46,6 +46,8 @@ def test_membership_examples():
 def test_params_validation():
     with pytest.raises(ValueError):
         CodeParams(q=3, n=10)
+    with pytest.raises(ValueError, match="^requires n >= 1, got 0$"):
+        CodeParams(q=4, n=0)
     with pytest.raises(ValueError):
         CodeParams(q=4, n=10, p=Fraction(1, 2))
     with pytest.raises(ValueError):

@@ -53,6 +53,12 @@ def test_config_validation():
         DecoderConfig(q=3, n=10, t_sub=0, t_del=0, t_ins=1)
     with pytest.raises(ValueError):
         DecoderConfig(q=4, n=2, t_sub=2, t_del=1, t_ins=0)
+    with pytest.raises(ValueError, match="^requires n >= 1, got 0$"):
+        DecoderConfig(q=4, n=0, t_sub=0, t_del=0, t_ins=1)
+    with pytest.raises(ValueError, match="^budgets must be non-negative$"):
+        DecoderConfig(q=4, n=10, t_sub=0, t_del=-1, t_ins=1)
+    with pytest.raises(ValueError, match="^requires q >= 4, got q=3$"):
+        Frontier(3)
     cfg = DecoderConfig(q=4, n=10, t_sub=2, t_del=1, t_ins=3)
     assert cfg.count_swing == 8
 
@@ -80,7 +86,9 @@ def test_frontier_initialises_from_first_word():
     assert word == "0123" and ma == 1 and mout == 1
 
 
-@pytest.mark.parametrize("q, y", [(4, "0123012301"), (8, "0123456701")])
+@pytest.mark.parametrize(
+    "q, y", [(4, "0123012301"), (5, "0123401234"), (8, "0123456701"), (12, "23456789:;")]
+)
 def test_first_push_marks_every_anchor_triple(q, y):
     dec = StreamDecoder(DecoderConfig(q, 10, 1, 1, 1))
     assert dec.push(y) is None
@@ -433,27 +441,21 @@ def _stored_slots(frontier):
 
 
 def _assert_gates(frontier):
-    # Each kind's gate is the largest M_a of its kind in a's group, and the
-    # gate tested first is the larger of the two.  At q = 4 no triple group
-    # exists, and the triple gate admits no count.
+    # Each kind's gate is the largest M_a of its kind in a's group.  At q = 4
+    # no triple group exists, and the triple gate admits no count.
     table = frontier._table
     if frontier.q == 4:
         assert not any(table.tri_groups)
     for a in range(frontier.q):
         pair = max(frontier._ma[k] for k, _ in table.pair_groups[a])
         tri = max((frontier._ma[k] for k, _, _ in table.tri_groups[a]), default=-1)
-        assert (frontier._pair_gate[a], frontier._tri_gate[a], frontier._gate[a]) == (pair, tri, max(pair, tri))
+        assert (frontier._pair_gate[a], frontier._tri_gate[a]) == (pair, tri)
 
 
 def _gates_passed(frontier, y):
-    """(pair gate passed, triple gate passed) for each symbol of y whose
-    count passes the gate tested first."""
+    """(pair gate passed, triple gate passed) for each symbol of y."""
     counts = symbol_counts(y, alphabet(frontier.q))
-    return {
-        (ca <= frontier._pair_gate[a], ca <= frontier._tri_gate[a])
-        for a, ca in enumerate(counts)
-        if ca <= frontier._gate[a]
-    }
+    return {(ca <= frontier._pair_gate[a], ca <= frontier._tri_gate[a]) for a, ca in enumerate(counts)}
 
 
 @pytest.mark.parametrize(

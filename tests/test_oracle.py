@@ -288,6 +288,11 @@ def test_extremal_search_refuses_negative_length(n, t):
         extremal_search(n, 2, t, "exactly", M)
 
 
+def test_extremal_search_refuses_t_above_n():
+    with pytest.raises(ValueError, match="^t=4 infeasible for n=3$"):
+        extremal_search(3, 2, 4, "exactly", M)
+
+
 def test_budget_guard():
     with pytest.raises(ValueError):
         extremal_search(10, 2, 2, "at_most", M, budget=1000)

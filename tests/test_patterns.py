@@ -159,6 +159,20 @@ def test_deletion_vectors_distinct():
     assert len(vecs) == len(set(vecs)) == 22
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: DeletionVector((0, 2)), "^deletion mask entries must be 0 or 1$"),
+        (lambda: DeletionVector.from_positions(3, [4]), r"^position 4 outside \[1, 3\]$"),
+        (lambda: SubstitutionPattern(((1, 1), (1, 2))), "^substitution positions must be distinct$"),
+    ],
+    ids=["mask-entry-2", "position-above-n", "repeated-substitution"],
+)
+def test_pattern_parts_refuse_invalid_entries(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 def test_table_of_weight2_vectors_for_11011():
     # the 9 vectors mapping 11011 into {111, 110, 101}
     produced = {}
@@ -226,6 +240,24 @@ def test_sample_pattern_requires_word_for_substitutions():
     with pytest.raises(ValueError):
         sample_pattern(5, 4, 1, 0, 0, rng_seed=1)
     sample_pattern(5, 4, 0, 1, 1, rng_seed=1)  # fine without x
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: PatternSampler(3, 4, 0, -1, 1), "^budgets must be non-negative$"),
+        (lambda: PatternSampler(3, 4, 2, 2, 0), r"^t_sub \+ t_del = 4 exceeds word length 3$"),
+        (
+            lambda: PatternSampler(3, 4, 0, 1, 0).sample(random.Random(1), W("0123", 4)),
+            "^x has length 4, sampler built for 3$",
+        ),
+        (lambda: DrawOutputs(PatternSampler(3, 4, 0, 1, 0), "0123"), "^x has length 4, sampler built for 3$"),
+    ],
+    ids=["negative-budget", "edits-exceed-n", "sample-word-length", "draw-outputs-word-length"],
+)
+def test_sampler_refusals(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 def test_sampler_space_sizes():

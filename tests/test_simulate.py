@@ -101,6 +101,8 @@ def test_substitutions_hardest_among_single_increments():
 def test_spec_validation():
     with pytest.raises(ValueError):
         SimSpec(q=4, n=10, t_sub=0, t_del=0, t_ins=1, samples=0)
+    with pytest.raises(ValueError, match="^jobs must be >= 1$"):
+        SimSpec(q=4, n=10, t_sub=0, t_del=0, t_ins=1, samples=1, jobs=0)
     with pytest.raises(ValueError):
         run_sim(SimSpec(q=3, n=10, t_sub=0, t_del=0, t_ins=1, samples=1))
 
