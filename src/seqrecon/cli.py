@@ -6,13 +6,15 @@ just the principal value and `csv` a flat table.  Domain errors exit with
 status 1 and a structured {"error": ...} record; usage errors exit 2.
 
 Environment overrides: SEQRECON_SEED and SEQRECON_JOBS set the default seed
-and worker count of `simulate` only.
+and worker count of `simulate` only.  `main` reads both on every call, and
+builds the parser once per process for each distinct pair of their values.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv as _csv
+import functools
 import io
 import json
 import os
@@ -164,16 +166,19 @@ def _cmd_code(args) -> tuple[dict, str]:
 
 
 def _cmd_decode(args) -> tuple[dict, str]:
-    cfg = DecoderConfig(
-        q=args.q, n=args.n, t_sub=args.ts, t_del=args.td, t_ins=args.ti,
-        max_reads=args.max_reads,
-    )
-    stream = args.file if args.file else sys.stdin
-    dec = StreamDecoder(cfg)
-    # Lazy, so no line past the read cap is parsed; blank lines are not reads.
-    # Word.parse strips too, which costs no copy on a stripped line.
-    lines = (line.strip() for line in stream)
-    result = dec.read(Word.parse(line, args.q) for line in lines if line)
+    stream = args.file or sys.stdin
+    try:
+        dec = StreamDecoder(DecoderConfig(
+            q=args.q, n=args.n, t_sub=args.ts, t_del=args.td, t_ins=args.ti,
+            max_reads=args.max_reads,
+        ))
+        # Lazy, so no line past the read cap is parsed; blank lines are not
+        # reads.  Word.parse strips too, which costs no copy on a stripped line.
+        lines = (line.strip() for line in stream)
+        result = dec.read(Word.parse(line, args.q) for line in lines if line)
+    finally:
+        if stream is not sys.stdin:  # `--file -` is stdin, which stays open
+            stream.close()
     decoded = Word.from_raw(result, args.q).text if result else ""
     record = {"result": decoded, "reads_consumed": dec.reads}
     if dec.certificate is not None and decoded:
@@ -193,6 +198,13 @@ def _cmd_simulate(args) -> tuple[dict, str]:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The parser for the current SEQRECON_SEED and SEQRECON_JOBS, shared by
+    every call made with the same two values; parse_args leaves it as it is."""
+    return _build_parser(os.environ.get("SEQRECON_SEED"), os.environ.get("SEQRECON_JOBS"))
+
+
+@functools.lru_cache(maxsize=8)
+def _build_parser(seed: str | None, jobs: str | None) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="seqrecon",
         description="Channel-count bounds, confusability oracles, decoding and "
@@ -266,8 +278,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--td", type=int, required=True)
     s.add_argument("--ti", type=int, required=True)
     s.add_argument("--samples", type=int, required=True)
-    s.add_argument("--seed", type=int, default=os.environ.get("SEQRECON_SEED", DEFAULT_SEED))
-    s.add_argument("--jobs", type=int, default=os.environ.get("SEQRECON_JOBS", 1))
+    s.add_argument("--seed", type=int, default=DEFAULT_SEED if seed is None else seed)
+    s.add_argument("--jobs", type=int, default=1 if jobs is None else jobs)
     s.add_argument("--max-reads", type=int, default=None)
     s.add_argument("--out", default=None, help="write the result table as CSV")
     s.set_defaults(run=_cmd_simulate)
@@ -275,8 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         record, principal = args.run(args)
     except ValueError as exc:

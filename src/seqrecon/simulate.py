@@ -19,7 +19,6 @@ import random
 import statistics
 import warnings
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -115,6 +114,7 @@ def run_sim(spec: SimSpec) -> SimResult:
     bounds = [round(k * spec.samples / chunks) for k in range(chunks + 1)]
     tasks = [(cfg, spec.seed, lo, hi) for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
     if spec.jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # not loaded for one worker
         with ProcessPoolExecutor(max_workers=spec.jobs) as pool:
             parts = list(pool.map(_run_trials, tasks))
     else:

@@ -1,11 +1,15 @@
+import argparse
+import gc
 import hashlib
 import inspect
+import io
 import json
 import os
 import random
 import subprocess
 import sys
 import time
+import warnings
 
 import pytest
 
@@ -238,6 +242,60 @@ def test_decode_plain_format(capsys, tmp_path):
         "--ts", "1", "--td", "1", "--ti", "2", "--file", str(path),
     )
     assert out == "1200321021\n"
+
+
+@pytest.mark.parametrize(
+    "rows, extra, expected_code",
+    [
+        (FIX_ROWS, [], 0),
+        ([FIX_ROWS[0], "123"], [], 1),  # a malformed line ends the read
+        (FIX_ROWS, ["--max-reads", "0"], 1),  # refused before the first read
+    ],
+)
+def test_decode_closes_its_file(capsys, tmp_path, rows, extra, expected_code):
+    path = tmp_path / "outputs.txt"
+    path.write_text("\n".join(rows) + "\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, _ = run_cli(
+            capsys, "decode", "--q", "6", "--n", "10", "--ts", "1", "--td", "1", "--ti", "2",
+            "--file", str(path), *extra,
+        )
+        gc.collect()
+    assert code == expected_code
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+
+def test_decode_file_dash_leaves_stdin_open(capsys, monkeypatch):
+    stdin = io.StringIO("\n".join(FIX_ROWS) + "\n")
+    monkeypatch.setattr("sys.stdin", stdin)
+    code, out = run_cli(
+        capsys, "decode", "--q", "6", "--n", "10", "--ts", "1", "--td", "1", "--ti", "2",
+        "--file", "-",
+    )
+    assert json.loads(out)["result"] == "1200321021"
+    assert not stdin.closed
+
+
+def test_parser_is_built_once_per_environment(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    # A seed no other test sets, so the first call has no parser to reuse.
+    monkeypatch.setenv("SEQRECON_SEED", "90210")
+    argv = ("bounds", "pattern", "--n", "6", "--t", "1")
+    assert run_cli(capsys, *argv) == (0, run_cli(capsys, *argv)[1])
+    assert built.count("seqrecon") == 1
+    monkeypatch.setenv("SEQRECON_SEED", "90211")
+    args = build_parser().parse_args(
+        ["simulate", "--q", "4", "--n", "25", "--ts", "0", "--td", "0", "--ti", "1", "--samples", "5"]
+    )
+    assert args.seed == 90211 and built.count("seqrecon") == 2
 
 
 def test_expect_subcommands(capsys):
