@@ -166,7 +166,13 @@ def _cmd_code(args) -> tuple[dict, str]:
 
 
 def _cmd_decode(args) -> tuple[dict, str]:
-    stream = args.file or sys.stdin
+    if args.file in (None, "-"):
+        stream = sys.stdin
+    else:
+        try:
+            stream = open(args.file)
+        except OSError as exc:
+            args.parser.error(f"argument --file: can't open '{args.file}': {exc}")
     try:
         dec = StreamDecoder(DecoderConfig(
             q=args.q, n=args.n, t_sub=args.ts, t_del=args.td, t_ins=args.ti,
@@ -194,7 +200,12 @@ def _cmd_simulate(args) -> tuple[dict, str]:
         q=args.q, n=args.n, t_sub=args.ts, t_del=args.td, t_ins=args.ti,
         samples=args.samples, seed=args.seed, jobs=args.jobs, max_reads=args.max_reads,
     )
-    return run_sweep([spec], args.out)[0], "average"
+    try:
+        return run_sweep([spec], args.out)[0], "average"
+    except OSError as exc:  # run_sweep opens --out before the first trial
+        if args.out is None or exc.filename != args.out:
+            raise
+        args.parser.error(f"argument --out: can't open '{args.out}': {exc}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -267,9 +278,9 @@ def _build_parser(seed: str | None, jobs: str | None) -> argparse.ArgumentParser
     dec.add_argument("--ts", type=int, required=True)
     dec.add_argument("--td", type=int, required=True)
     dec.add_argument("--ti", type=int, required=True)
-    dec.add_argument("--file", type=argparse.FileType("r"), default=None)
+    dec.add_argument("--file", default=None)
     dec.add_argument("--max-reads", type=int, default=None)
-    dec.set_defaults(run=_cmd_decode)
+    dec.set_defaults(run=_cmd_decode, parser=dec)
 
     s = sub.add_parser("simulate", help="Monte Carlo channels-until-decode")
     s.add_argument("--q", type=int, required=True)
@@ -282,7 +293,7 @@ def _build_parser(seed: str | None, jobs: str | None) -> argparse.ArgumentParser
     s.add_argument("--jobs", type=int, default=1 if jobs is None else jobs)
     s.add_argument("--max-reads", type=int, default=None)
     s.add_argument("--out", default=None, help="write the result table as CSV")
-    s.set_defaults(run=_cmd_simulate)
+    s.set_defaults(run=_cmd_simulate, parser=s)
     return parser
 
 

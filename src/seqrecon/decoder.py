@@ -16,12 +16,12 @@ output into a stored token, its symbol counts and its length, and turns a
 token back into the raw form of seqrecon.words (one character per symbol,
 for every q) only for the six words of a certificate.  The default,
 RawOutputs, takes outputs that are words: the token is the raw form, which
-a Word stores, so pushing one costs no conversion; a Word is already
-checked, so q - 1 of its symbols are counted and the last count is taken
-from its length.  Simulation stores raw draws of a PatternSampler instead
-and counts them in O(t) (patterns.DrawOutputs).  StreamDecoder.read is the
-one read loop: it stops at the first decision, at the end of the stream or
-at DecoderConfig.read_cap reads.
+a Word stores, so pushing one costs no conversion.  Any other output is
+made a checked Word first, and every output is counted by symbol_counts.
+Simulation stores raw draws of a PatternSampler instead and counts them in
+O(t) (patterns.DrawOutputs).  StreamDecoder.read is the one read loop: it
+stops at the first decision, at the end of the stream or at
+DecoderConfig.read_cap reads.
 
 A read pays for what it changes.  Frontier.update skips the pair slots and,
 apart, the triple slots anchored at a symbol the new output holds too many
@@ -49,7 +49,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple
 
-from .words import Word, alphabet, as_raw, symbol_counts
+from .words import Word, alphabet, symbol_counts
 
 # Measured median reads-to-halt at q=4 for common parameter points, used to
 # size the default read cap; keys are (n, t_sub, t_del, t_ins).
@@ -424,27 +424,24 @@ class RawOutputs:
     """StreamDecoder's default output adapter: an output is a raw str, a Word
     or a sequence of symbol ints, and its token is its raw form.
 
-    A Word of this alphabet, or of a smaller one, holds only alphabet
-    symbols, which its constructors checked: read() counts the first q - 1
-    and takes the last count from the length.  Any other output is counted
-    symbol by symbol and checked against the alphabet (symbol_counts).
+    A Word of this alphabet, or of a smaller one, was checked when built.
+    read() makes any other output such a Word (Word.from_raw for a str,
+    Word(y, q) otherwise), refusing a symbol outside the alphabet, and
+    counts every output with symbol_counts.
     """
 
-    __slots__ = ("q", "_alphabet", "_head")
+    __slots__ = ("q", "_alphabet")
 
     def __init__(self, q: int):
         self.q = q
         self._alphabet = alphabet(q)
-        self._head = self._alphabet[:-1]
 
     def read(self, y) -> tuple:
         """(raw form, symbol counts, length); raises ValueError on a symbol
         outside the alphabet."""
-        if isinstance(y, Word) and y.q <= self.q:
-            raw = y.raw
-            head = tuple(map(raw.count, self._head))
-            return raw, head + (len(raw) - sum(head),), len(raw)
-        raw = as_raw(y)
+        if not (isinstance(y, Word) and y.q <= self.q):
+            y = Word.from_raw(y, self.q) if isinstance(y, str) else Word(y, self.q)
+        raw = y.raw
         return raw, symbol_counts(raw, self._alphabet), len(raw)
 
     @staticmethod

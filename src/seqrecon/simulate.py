@@ -19,6 +19,7 @@ import random
 import statistics
 import warnings
 from collections import Counter
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -140,24 +141,28 @@ def run_sim(spec: SimSpec) -> SimResult:
 
 def run_sweep(specs: list[SimSpec], output_path: str | None = None) -> list[dict]:
     """Simulate every spec and return one table row per spec, in CSV_COLUMNS
-    order; optionally also write the table as CSV."""
-    rows = []
+    order; optionally also write the table as CSV.  output_path is opened
+    once every spec's budgets are checked and before the first trial, so a
+    path that cannot be written raises OSError before any simulation."""
     for spec in specs:
-        res = run_sim(spec)
-        rows.append(
-            {
-                "n": spec.n,
-                "ts": spec.t_sub,
-                "td": spec.t_del,
-                "ti": spec.t_ins,
-                "average": res.average,
-                "median": res.median,
-                "failures": res.failures,
-                "samples": spec.samples,
-            }
-        )
-    if output_path is not None:
-        with open(output_path, "w", newline="") as fh:
+        spec.decoder_config()
+    with open(output_path, "w", newline="") if output_path is not None else nullcontext() as fh:
+        rows = []
+        for spec in specs:
+            res = run_sim(spec)
+            rows.append(
+                {
+                    "n": spec.n,
+                    "ts": spec.t_sub,
+                    "td": spec.t_del,
+                    "ti": spec.t_ins,
+                    "average": res.average,
+                    "median": res.median,
+                    "failures": res.failures,
+                    "samples": spec.samples,
+                }
+            )
+        if fh is not None:
             writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
             writer.writeheader()
             writer.writerows(rows)

@@ -7,9 +7,9 @@ the plain integer q.
 Every word is held in one raw form: a str in which symbol s is the character
 chr(48 + s).  For q <= 10 that is the digit string Word.text prints ("0123");
 above that it runs on past "9" (":" is 10, ";" is 11) with no ceiling on q.
-Word stores the raw form itself, so Word.raw, as_raw and a Word's equality
-and hash touch no per-symbol work; its symbols are derived from the raw form
-when asked for.
+Word stores the raw form itself, so Word.raw and a Word's equality and hash
+touch no per-symbol work; symbols are derived from it when asked for, and
+symbol_counts, the one symbol counter, counts them in a checked raw form.
 
 Every exact binomial sum of the package is summed from _ratio_terms: each
 term comes from the one before by a ratio of small integers, in time linear
@@ -138,26 +138,12 @@ def alphabet(q: int) -> str:
     return _to_raw(range(q))
 
 
-def as_raw(y) -> str:
-    """The raw form of a Word or of a sequence of symbol ints.  A str is taken
-    to be in raw form already and comes back unchanged."""
-    if isinstance(y, str):
-        return y
-    if isinstance(y, Word):
-        return y.raw
-    return _to_raw(y)
-
-
 def symbol_counts(raw: str, symbols: str) -> tuple[int, ...]:
-    """Occurrences of each symbol of the alphabet string `symbols` in raw,
-    one str.count pass per symbol.
-
-    Raises ValueError when raw holds a character outside the alphabet.
-    """
-    counts = tuple(map(raw.count, symbols))
-    if sum(counts) != len(raw):
-        raise ValueError(f"output contains symbols outside the q={len(symbols)} alphabet")
-    return counts
+    """Occurrences of each symbol of the alphabet string `symbols` in raw, a
+    raw form already checked to hold only those symbols: one str.count pass
+    per symbol but the last, whose count is what the length leaves."""
+    head = tuple(map(raw.count, symbols[:-1]))
+    return head + (len(raw) - sum(head),)
 
 
 def support(w: Word) -> set[int]:

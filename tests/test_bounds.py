@@ -113,6 +113,8 @@ def test_weight_gap_confusable_values():
     assert bounds.weight_gap_confusable(6, 3, 1, 2) == 9
     with pytest.raises(ValueError):
         bounds.weight_gap_confusable(6, 3, 3, 2)  # gap exceeds deletions
+    with pytest.raises(ValueError, match=r"^requires b <= w1 <= n and t <= n, got w1=6, n=5, t=1$"):
+        bounds.weight_gap_confusable(5, 6, 1, 1)  # more ones than positions
 
 
 

@@ -182,6 +182,9 @@ def test_collection_json_roundtrip_and_order():
     # canonical order: by length, then symbols
     assert [item["word"] for item in obj["items"]] == ["11100", "11110", "111100"]
     assert OutputCollection.from_obj(obj, 2) == col
+    raw = OutputCollection.of_raw("multiset", {"01": 2, "1": 1}, 2)
+    assert repr(raw) == "OutputCollection(multiset, {1x1, 01x2})"
+    assert W("01") in raw and W("10") not in raw
 
 
 def test_collection_rejects_bad_multiplicities():

@@ -13,9 +13,9 @@ import warnings
 
 import pytest
 
-from seqrecon import codebook
+from seqrecon import codebook, simulate
 from seqrecon.bounds import pattern_bound
-from seqrecon.cli import build_parser, main
+from seqrecon.cli import _infer_q, build_parser, main
 from seqrecon.codebook import CodeParams, code_size_lower_bound
 from seqrecon.oracle import extremal_search
 from seqrecon.patterns import PatternSampler, apply_pattern
@@ -66,6 +66,31 @@ def test_distinguish_reference_pair(capsys):
     )
     assert code == 0
     assert json.loads(out)["n_max_confusable"] == 8
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        # comma form: the largest symbol is 10, so q = 11 is inferred
+        (("distinguish", "--x", "10,0,3", "--xp", "0,10,3", "--t", "1", "--model", "multiset"),
+         '{"error_type": "deletion", "mode": "exactly", "model": "multiset", "n_max_confusable": 2, '
+         '"t": 1, "x": "10,0,3", "xp": "0,10,3"}\n'),
+        # empty words: no symbol to infer from, so q = 2
+        (("distinguish", "--x", "", "--xp", "", "--t", "0", "--model", "multiset"),
+         '{"error_type": "deletion", "mode": "exactly", "model": "multiset", "n_max_confusable": 1, '
+         '"t": 0, "x": "", "xp": ""}\n'),
+        (("bounds", "weight-gap", "--n", "5", "--w1", "6", "--b", "1", "--t", "1"),
+         '{"error": "requires b <= w1 <= n and t <= n, got w1=6, n=5, t=1", "hypothesis_ok": false}\n'),
+    ],
+    ids=["distinguish-comma-form", "distinguish-empty-words", "weight-gap-w1-above-n"],
+)
+def test_stdout_of_edge_arguments(capsys, argv, expected):
+    assert run_cli(capsys, *argv)[1] == expected
+
+
+def test_alphabet_inferred_from_word_texts():
+    assert _infer_q("10,0,3", "0,10,3") == 11
+    assert _infer_q("", " ") == 2
 
 
 def test_distinguish_witness_included(capsys):
@@ -275,6 +300,67 @@ def test_decode_file_dash_leaves_stdin_open(capsys, monkeypatch):
     )
     assert json.loads(out)["result"] == "1200321021"
     assert not stdin.closed
+
+
+@pytest.mark.parametrize(
+    "later, expected_code",
+    [(["--q", "x", "--n", "4", "--ts", "0", "--td", "0", "--ti", "1"], 2), (["--help"], 0)],
+    ids=["bad-q", "help"],
+)
+def test_decode_opens_no_file_while_parsing(capsys, tmp_path, later, expected_code):
+    path = tmp_path / "outputs.txt"
+    path.write_text("\n".join(FIX_ROWS) + "\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            main(["decode", "--file", str(path), *later])
+        except SystemExit as exc:  # caught here, so its traceback holds no file past gc
+            code = exc.code
+        gc.collect()
+    assert code == expected_code
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+
+@pytest.mark.parametrize("target", ["missing", "directory"])
+def test_decode_file_that_cannot_be_opened_is_a_usage_error(capsys, tmp_path, target):
+    path = tmp_path / "missing.txt" if target == "missing" else tmp_path
+    with pytest.raises(SystemExit) as exc:
+        main([*DECODE_FIX, "--file", str(path)])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert f"seqrecon decode: error: argument --file: can't open '{path}': " in captured.err
+
+
+SIM_TINY = ("simulate", "--q", "4", "--n", "3", "--ts", "0", "--td", "0", "--ti", "0", "--samples", "2")
+
+
+@pytest.mark.parametrize("target", ["missing-dir", "directory"])
+def test_simulate_out_that_cannot_be_opened_is_a_usage_error(capsys, monkeypatch, tmp_path, target):
+    path = tmp_path / "nonexistent" / "t.csv" if target == "missing-dir" else tmp_path
+    trials = []
+    run_trials = simulate._run_trials
+    monkeypatch.setattr(simulate, "_run_trials", lambda task: trials.append(task) or run_trials(task))
+    with pytest.raises(SystemExit) as exc:
+        main([*SIM_TINY, "--out", str(path)])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert f"seqrecon simulate: error: argument --out: can't open '{path}': " in captured.err
+    assert trials == []  # refused before the first trial
+
+
+@pytest.mark.parametrize(
+    "refused, error",
+    [(("--samples", "0"), "samples must be >= 1"), (("--q", "3"), "decoding requires q >= 4, got q=3")],
+    ids=["samples-0", "q-3"],
+)
+def test_refused_simulate_leaves_its_out_file_alone(capsys, tmp_path, refused, error):
+    path = tmp_path / "table.csv"
+    path.write_text("kept\n")
+    code, out = run_cli(capsys, *SIM_TINY, *refused, "--out", str(path))
+    assert (code, json.loads(out)) == (1, {"error": error, "hypothesis_ok": False})
+    assert path.read_text() == "kept\n"
 
 
 def test_parser_is_built_once_per_environment(capsys, monkeypatch):

@@ -70,8 +70,6 @@ def test_symbol_counts():
     assert y2[0] == 1
     assert y1[0] == y2[0] + FIX_CFG.count_swing
     assert symbol_counts("0" * 7, alphabet(4)) == (7, 0, 0, 0)
-    with pytest.raises(ValueError):
-        symbol_counts("015", alphabet(4))
 
 
 def test_frontier_initialises_from_first_word():
@@ -234,9 +232,13 @@ def test_push_validates_outputs():
     dec = StreamDecoder(FIX_CFG)
     with pytest.raises(ValueError):
         dec.push("12")  # far too short
-    with pytest.raises(ValueError):
-        dec.push("1200321091")  # symbol 9 outside q=6
-    with pytest.raises(ValueError):
+    # An output is checked where it enters, as a Word: a foreign symbol gets
+    # Word's text whatever form the output came in.
+    with pytest.raises(ValueError, match=r"^symbol 9 outside alphabet \[0, 5\]$"):
+        dec.push("1200321091")
+    with pytest.raises(ValueError, match=r"^symbol 9 outside alphabet \[0, 5\]$"):
+        dec.push([1, 2, 0, 0, 3, 2, 1, 0, 9, 1])
+    with pytest.raises(ValueError, match=r"^symbol 7 outside alphabet \[0, 5\]$"):
         dec.push(Word.parse("1200321071", 8))  # a valid word of a larger alphabet
     dec2, out = feed(FIX_ROWS, FIX_CFG)
     assert out == FIX_X
@@ -332,8 +334,8 @@ def test_decode_stream_accepts_int_tuples():
 
 @pytest.mark.parametrize("q", [4, 6, 12])
 def test_word_counts_equal_str_counts(q):
-    # A Word of the decoder's alphabet or a smaller one is counted with its
-    # last symbol taken from the length; the str path counts every symbol.
+    # A str is checked as a Word first; either way one symbol_counts call
+    # counts the output, for a Word of the decoder's alphabet or a smaller one.
     outputs = StreamDecoder(DecoderConfig(q, 10, 1, 1, 1)).outputs
     rng = random.Random(f"word-counts:{q}")
     for p in (2, q - 1, q):

@@ -15,6 +15,7 @@ from seqrecon.patterns import (
     PatternSampler,
     SubstitutionPattern,
     apply_pattern,
+    as_rng,
     draw_to_pattern,
     pattern_to_draw,
     sample_pattern,
@@ -173,6 +174,12 @@ def test_pattern_parts_refuse_invalid_entries(build, message):
         build()
 
 
+def test_substitution_pattern_sorts_its_entries():
+    p = SubstitutionPattern(((3, 1), (1, 0)))
+    assert p.entries == ((1, 0), (3, 1))
+    assert p.positions == (1, 3)
+
+
 def test_table_of_weight2_vectors_for_11011():
     # the 9 vectors mapping 11011 into {111, 110, 101}
     produced = {}
@@ -231,6 +238,9 @@ def test_sample_pattern_is_valid_and_deterministic():
     a = sample_pattern(8, 4, 1, 2, 2, rng_seed=99, x=x)
     b = sample_pattern(8, 4, 1, 2, 2, rng_seed=99, x=x)
     assert a == b
+    rng = random.Random(99)
+    assert as_rng(rng) is rng
+    assert sample_pattern(8, 4, 1, 2, 2, rng_seed=rng, x=x) == a
     a.validate(8, 4)
     y = apply_pattern(x, a)
     assert len(y) == 8 - a.deletion.weight + a.insertion.total

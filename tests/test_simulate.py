@@ -81,6 +81,29 @@ def test_sweep_rows_and_csv(tmp_path):
     assert float(file_rows[0]["average"]) > 0
 
 
+def test_sweep_refuses_an_unwritable_path_before_any_trial(monkeypatch, tmp_path):
+    ran = []
+    real = simulate.run_sim
+    monkeypatch.setattr(simulate, "run_sim", lambda spec: ran.append(spec) or real(spec))
+    spec = SimSpec(q=4, n=3, t_sub=0, t_del=0, t_ins=0, samples=2, seed=1)
+    for path in (tmp_path / "nonexistent" / "t.csv", tmp_path):
+        with pytest.raises(OSError):
+            run_sweep([spec], str(path))
+    assert ran == []
+
+
+def test_sweep_checks_every_spec_before_opening_its_file(tmp_path):
+    path = tmp_path / "table.csv"
+    path.write_text("kept\n")
+    specs = [
+        SimSpec(q=4, n=3, t_sub=0, t_del=0, t_ins=0, samples=2, seed=1),
+        SimSpec(q=4, n=3, t_sub=2, t_del=2, t_ins=0, samples=2, seed=1),
+    ]
+    with pytest.raises(ValueError, match="^t_sub \\+ t_del exceeds the word length$"):
+        run_sweep(specs, str(path))
+    assert path.read_text() == "kept\n"
+
+
 def test_empty_sweep():
     assert run_sweep([]) == []
 
