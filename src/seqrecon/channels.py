@@ -12,6 +12,7 @@ import enum
 import itertools
 import math
 from collections import Counter
+from dataclasses import dataclass, field
 
 from .patterns import PatternSampler, as_rng, check_mode
 from .words import Word, alphabet, hamming_ball_volume, insertion_ball_volume
@@ -37,28 +38,28 @@ class ChannelModel(enum.Enum):
         return "multiset" if self is ChannelModel.MULTISET else "set"
 
 
+@dataclass(slots=True, repr=False)
 class OutputCollection:
     """Words received from a batch of channels, with multiplicities.
 
     kind is "set" or "multiset"; a set collection stores every count as 1.
     Words are kept in a canonical (length, symbols) order, the same as the
     (length, raw form) order, for stable serialisation and equality.
+    Equality compares kind and counts and ignores distinct_patterns.
     """
 
-    __slots__ = ("kind", "counts", "distinct_patterns")
+    kind: str
+    counts: dict[Word, int]
+    distinct_patterns: int | None = field(default=None, compare=False)
 
-    def __init__(self, kind: str, counts: dict[Word, int], distinct_patterns: int | None = None):
-        if kind not in ("set", "multiset"):
-            raise ValueError(f"kind must be 'set' or 'multiset', got {kind!r}")
-        for w, c in counts.items():
+    def __post_init__(self):
+        if self.kind not in ("set", "multiset"):
+            raise ValueError(f"kind must be 'set' or 'multiset', got {self.kind!r}")
+        for w, c in self.counts.items():
             if c < 1:
                 raise ValueError(f"multiplicity {c} for {w!r} must be >= 1")
-        if kind == "set":
-            counts = {w: 1 for w in counts}
-        items = sorted(counts.items(), key=lambda wc: (len(wc[0]), wc[0].raw))
-        self.kind = kind
-        self.counts = dict(items)
-        self.distinct_patterns = distinct_patterns
+        counts = dict.fromkeys(self.counts, 1) if self.kind == "set" else self.counts
+        self.counts = dict(sorted(counts.items(), key=lambda wc: (len(wc[0]), wc[0].raw)))
 
     def total(self) -> int:
         return sum(self.counts.values())
@@ -67,14 +68,7 @@ class OutputCollection:
         return list(self.counts)
 
     def as_set(self) -> "OutputCollection":
-        return OutputCollection("set", dict.fromkeys(self.counts, 1))
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, OutputCollection)
-            and self.kind == other.kind
-            and self.counts == other.counts
-        )
+        return OutputCollection("set", self.counts)
 
     def __contains__(self, word: Word) -> bool:
         return word in self.counts
@@ -98,8 +92,7 @@ class OutputCollection:
     def of_raw(cls, kind: str, counts: dict[str, int], q: int, distinct_patterns: int | None = None):
         """The collection of outputs counted in raw form: one Word per
         distinct output."""
-        words = {Word.from_raw(y, q): c for y, c in counts.items()}
-        return cls(kind, words, distinct_patterns)
+        return cls(kind, {Word.from_raw(y, q): c for y, c in counts.items()}, distinct_patterns)
 
 
 def _sizes(t: int, mode: str):

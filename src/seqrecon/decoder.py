@@ -460,7 +460,9 @@ class StreamDecoder:
     "give up", never a wrong answer).  Certificates are only accepted once
     six outputs have been read, and hold the raw forms of their words.  With
     all budgets zero the first output is the answer and is returned
-    immediately.  read() pushes a whole stream.
+    immediately.  read() pushes a whole stream.  reads counts accepted
+    outputs: one that push() refuses with ValueError (a wrong length, a
+    symbol outside the alphabet) is not a read.
     """
 
     def __init__(self, cfg: DecoderConfig, outputs=None):
@@ -483,12 +485,12 @@ class StreamDecoder:
         if self.result is not None:
             raise RuntimeError("decoder already finished")
         cfg = self.cfg
-        self.reads += 1
         token, counts, length = self.outputs.read(y)
         if length not in cfg.output_lengths:
             raise ValueError(
                 f"output length {length} outside [{cfg.n - cfg.t_del}, {cfg.n + cfg.t_ins}]"
             )
+        self.reads += 1
         if cfg.count_swing == 0:
             self.result = self.outputs.raw(token)
             return self.result

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import operator
 import random
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Sequence
@@ -101,7 +101,7 @@ class InsertionVector:
         return sum(len(p) for p in self.parts)
 
     def part_texts(self, q: int) -> list[str]:
-        return [Word(p, q).text if p else "" for p in self.parts]
+        return [Word(p, q).text for p in self.parts]
 
 
 @dataclass(frozen=True)
@@ -118,7 +118,7 @@ class SubstitutionPattern:
 
     @classmethod
     def from_dict(cls, mapping: dict[int, int]) -> "SubstitutionPattern":
-        return cls(tuple(sorted(mapping.items())))
+        return cls(tuple(mapping.items()))
 
     @property
     def positions(self) -> tuple[int, ...]:
@@ -190,8 +190,13 @@ def pattern_to_draw(p: ErrorPattern, x: Word) -> tuple:
 def draw_to_pattern(draw, n: int, x: Word | None = None) -> ErrorPattern:
     """The ErrorPattern of a raw draw on a word of length n.  x is needed
     only when the draw substitutes: an offset names the replacement among
-    the q-1 symbols differing from x at that position."""
+    the q-1 symbols differing from x at that position.  Raises ValueError
+    on a substituting draw without x, and on an x whose length is not n."""
     gaps, ins_symbols, del_pos, sub_pos, sub_off = draw
+    if sub_pos and x is None:
+        raise ValueError("sampling substitutions requires the transmitted word x")
+    if x is not None and len(x) != n:
+        raise ValueError(f"x has length {len(x)}, sampler built for {n}")
     parts = [()] * (n + 1)
     for g, s in zip(gaps, ins_symbols):
         parts[g] += (s,)
@@ -295,17 +300,18 @@ class PatternSampler:
         self.t_ins = t_ins
         self._alphabet = alphabet(q)
 
-        # (cumulative weight, total length)
-        self._ins_cum = list(zip(accumulate(_insertion_terms(q, n, t_ins)), range(t_ins + 1)))
-        self.insertion_space = self._ins_cum[-1][0]
+        # Cumulative weights: index i of _ins_cum is total insertion length i.
+        self._ins_cum = list(accumulate(_insertion_terms(q, n, t_ins)))
+        self.insertion_space = self._ins_cum[-1]
 
         # Shape (j, i) weighs C(n, j) deletion sets times ball term i on the n - j kept positions.
-        self._edit_cum: list[tuple[int, int, int]] = []  # (cumulative, n_del, n_sub)
+        self._edit_cum, self._shapes = [], []  # cumulative weight, and (n_del, n_sub), per shape
         acc = 0
         for j, deletions in enumerate(_ball_terms(2, n, t_del)):
             for i, term in enumerate(_ball_terms(q, n - j, t_sub)):
                 acc += deletions * term
-                self._edit_cum.append((acc, j, i))
+                self._edit_cum.append(acc)
+                self._shapes.append((j, i))
         self.edit_space = acc
         self.pattern_space = self.insertion_space * self.edit_space
         self._ins_bits = self.insertion_space.bit_length()
@@ -330,9 +336,7 @@ class PatternSampler:
         r = getrandbits(bits)
         while r >= m:
             r = getrandbits(bits)
-        for cum, total in self._ins_cum:
-            if r < cum:
-                break
+        total = bisect_right(self._ins_cum, r)
         if total == 1:
             # sample(range(n + 1), 1) is one randrange(n + 1): the gap.
             m = n + 1
@@ -365,9 +369,7 @@ class PatternSampler:
         r = getrandbits(bits)
         while r >= m:
             r = getrandbits(bits)
-        for cum, n_del, n_sub in self._edit_cum:
-            if r < cum:
-                break
+        n_del, n_sub = self._shapes[bisect_right(self._edit_cum, r)]
         if not n_sub:
             if not n_del:
                 return gaps, ins_symbols, (), (), ()
@@ -389,12 +391,7 @@ class PatternSampler:
     def sample(self, rng: random.Random, x: Word | None = None) -> ErrorPattern:
         """Uniform ErrorPattern.  x is required when t_sub > 0 because the
         replacement symbol is one of the q-1 symbols differing from x there."""
-        draw = self.draw(rng)
-        if draw[3] and x is None:  # the draw substitutes
-            raise ValueError("sampling substitutions requires the transmitted word x")
-        if x is not None and len(x) != self.n:
-            raise ValueError(f"x has length {len(x)}, sampler built for {self.n}")
-        return draw_to_pattern(draw, self.n, x)
+        return draw_to_pattern(self.draw(rng), self.n, x)
 
     def apply_draw(self, draw, x_raw: str) -> str:
         """Apply a raw draw to the transmitted word in raw form; O(n + t)."""

@@ -79,6 +79,10 @@ class Word:
     def __setattr__(self, name, value):
         raise AttributeError("Word is immutable")
 
+    def __reduce__(self):
+        # copy and pickle rebuild a Word through from_raw, not through __setattr__.
+        return (Word.from_raw, (self.raw, self.q))
+
     @classmethod
     def parse(cls, text: str, q: int) -> "Word":
         """Parse the text form for alphabet q (see class docstring)."""

@@ -185,6 +185,9 @@ def test_collection_json_roundtrip_and_order():
     raw = OutputCollection.of_raw("multiset", {"01": 2, "1": 1}, 2)
     assert repr(raw) == "OutputCollection(multiset, {1x1, 01x2})"
     assert W("01") in raw and W("10") not in raw
+    # Equality ignores distinct_patterns.
+    three, five = (OutputCollection.of_raw("multiset", {"01": 2}, 2, k) for k in (3, 5))
+    assert (three.distinct_patterns, five.distinct_patterns) == (3, 5) and three == five
 
 
 def test_collection_rejects_bad_multiplicities():

@@ -246,6 +246,20 @@ def test_push_validates_outputs():
         dec2.push(FIX_ROWS[0])
 
 
+def test_refused_outputs_are_not_reads():
+    clean, _ = feed(FIX_ROWS, FIX_CFG)
+    refused = ["12", "1200321091", [1, 2, 0, 0, 3, 2, 1, 0, 9, 1], Word.parse("1200321071", 8)]
+    for cfg in (FIX_CFG, DecoderConfig(q=6, n=10, t_sub=1, t_del=1, t_ins=2, max_reads=6)):
+        dec = StreamDecoder(cfg)
+        for y in refused:
+            with pytest.raises(ValueError):
+                dec.push(y)
+        assert dec.reads == 0
+        assert dec.read(FIX_ROWS) == FIX_X
+        assert (dec.reads, dec.channels_required) == (6, 5)
+        assert dec.certificate == clean.certificate
+
+
 def test_default_read_cap():
     assert DecoderConfig(q=4, n=100, t_sub=0, t_del=0, t_ins=1).read_cap == 300
     assert DecoderConfig(q=4, n=37, t_sub=0, t_del=0, t_ins=1).read_cap == 1_000_000

@@ -1,9 +1,12 @@
+import copy
 import itertools
 import math
+import pickle
 import random
 import time
 import tracemalloc
 from collections import Counter
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
@@ -12,7 +15,7 @@ from seqrecon.bounds import (
     levenshtein_deletion_bound,
     pattern_bound,
 )
-from seqrecon.channels import ChannelModel, OutputCollection
+from seqrecon.channels import ChannelModel, OutputCollection, transmit_all
 from seqrecon import oracle
 from seqrecon.oracle import confusable_max, extremal_search
 from seqrecon.patterns import (
@@ -401,6 +404,26 @@ def test_parallel_scan_agrees_with_serial():
     assert {(a.text, b.text) for a, b in serial.pairs} == {
         (a.text, b.text) for a, b in parallel.pairs
     }
+
+
+def test_words_and_results_copy_and_pickle():
+    x, xp = Word.parse("0101", 2), Word.parse("1010", 2)
+    report = confusable_max(x, xp, 1, "exactly", M, want_witness=True)
+    assert report.witness is not None
+    values = [
+        Word.parse("0120", 4),
+        Word.parse("11,0,3", 12),
+        transmit_all(Word.parse("0110", 2), 1, "at_most", M),
+        report,
+        extremal_search(5, 2, 1, "exactly", M),
+    ]
+    for value in values:
+        assert copy.copy(value) == value
+        assert copy.deepcopy(value) == value
+        assert pickle.loads(pickle.dumps(value)) == value
+    # A result crosses a process boundary by pickle.
+    with ProcessPoolExecutor(max_workers=1) as pool:
+        assert pool.submit(extremal_search, 5, 2, 1, "exactly", M).result() == values[-1]
 
 
 def test_traditional_indistinguishable_pairs_are_reported_separately():

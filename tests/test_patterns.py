@@ -280,19 +280,21 @@ def test_sampler_space_sizes():
 
 
 def _sampler_tables_reference(n, q, t_sub, t_del, t_ins):
-    """_ins_cum and _edit_cum as cumulative sums of math.comb products."""
+    """_ins_cum, _edit_cum and _shapes: cumulative sums of math.comb
+    products, and the (n_del, n_sub) shape of each edit entry."""
     ins, acc = [], 0
     for i in range(t_ins + 1):
         acc += q**i * math.comb(n + i, i)
-        ins.append((acc, i))
-    edit, acc = [], 0
+        ins.append(acc)
+    edit, shapes, acc = [], [], 0
     for j in range(t_del + 1):
         for i in range(t_sub + 1):
             if i + j > n:
                 continue
             acc += math.comb(n, i + j) * math.comb(i + j, i) * (q - 1) ** i
-            edit.append((acc, j, i))
-    return ins, edit
+            edit.append(acc)
+            shapes.append((j, i))
+    return ins, edit, shapes
 
 
 def test_sampler_tables_equal_their_binomial_sums():
@@ -308,9 +310,10 @@ def test_sampler_tables_equal_their_binomial_sums():
     cases += [(200, 4, (80, 120, 60)), (10_000, 5, (3, 2, 300)), (10_000, 2, (0, 150, 0))]
     for n, q, budgets in cases:
         sampler = PatternSampler(n, q, *budgets)
-        ins, edit = _sampler_tables_reference(n, q, *budgets)
-        assert sampler._ins_cum == ins and sampler._edit_cum == edit, (n, q, budgets)
-        assert sampler.pattern_space == ins[-1][0] * edit[-1][0]
+        ins, edit, shapes = _sampler_tables_reference(n, q, *budgets)
+        tables = (sampler._ins_cum, sampler._edit_cum, sampler._shapes)
+        assert tables == (ins, edit, shapes), (n, q, budgets)
+        assert sampler.pattern_space == ins[-1] * edit[-1]
 
 
 def test_single_insertion_patterns_uniform_and_output_frequencies():
@@ -380,6 +383,19 @@ def test_draw_counts_equal_counts_of_applied_draw(q):
             assert outputs.raw(draw) == y
 
 
+@pytest.mark.parametrize(
+    "draw, x, message",
+    [
+        (((), (), (), (2,), (0,)), None, "^sampling substitutions requires the transmitted word x$"),
+        (((), (), (1,), (), ()), W("0123", 4), "^x has length 4, sampler built for 5$"),
+    ],
+    ids=["substitution-without-word", "word-length"],
+)
+def test_draw_to_pattern_refusals(draw, x, message):
+    with pytest.raises(ValueError, match=message):
+        draw_to_pattern(draw, 5, x)
+
+
 @pytest.mark.parametrize("q", [2, 4, 13])
 def test_draw_pattern_round_trip(q):
     # A draw maps to an ErrorPattern and back to itself, and apply_pattern of
@@ -400,13 +416,15 @@ def _reference_draw(sampler, rng):
     # PatternSampler.draw as written with randrange and sample; draw must
     # make the same generator calls, so seeded streams never drift.
     n, q = sampler.n, sampler.q
+    budgets = sampler.t_sub, sampler.t_del, sampler.t_ins
+    ins_cum, edit_cum, shapes = _sampler_tables_reference(n, q, *budgets)
     r = rng.randrange(sampler.insertion_space)
-    total = next(total for cum, total in sampler._ins_cum if r < cum)
+    total = next(total for total, cum in enumerate(ins_cum) if r < cum)
     chosen = sorted(rng.sample(range(n + total), total)) if total else []
     gaps = tuple(c - k for k, c in enumerate(chosen))
     ins_symbols = tuple(rng.randrange(q) for _ in range(total))
     r = rng.randrange(sampler.edit_space)
-    n_del, n_sub = next((d, s) for cum, d, s in sampler._edit_cum if r < cum)
+    n_del, n_sub = next(shape for shape, cum in zip(shapes, edit_cum) if r < cum)
     picked = rng.sample(range(n), n_del + n_sub) if n_del + n_sub else []
     sub_positions = tuple(sorted(picked[:n_sub]))
     del_positions = tuple(sorted(picked[n_sub:]))
